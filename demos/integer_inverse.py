@@ -2,9 +2,11 @@
 
 R is built from nothing but reciprocals 1/C(i+j, i), yet its inverse has
 plain integer entries.  The factorization route makes that visible: invert
-the unit triangle (stays integer), sandwich with the central-binomial
-diagonal, and only a factor 1/2 from D^-1 ever appears, cancelled by the
-evenness of central binomials.
+the unit triangle (stays integer), and replace the only fractional factor,
+D^-1 = diag(1, -1/2, 1/2, ...), by the integer diagonal D' = 2 D^-1.  The
+product G L^-T D' L^-1 G is then 2 R^-1 in plain integers, and halving each
+entry with a checked division is exactly the integrality claim: an odd
+entry would raise instead of rounding.
 """
 from recpascal import (
     equal,

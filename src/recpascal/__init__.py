@@ -12,7 +12,6 @@ from .combinatorics import (
     binomial,
     central_binomial,
     exact_div,
-    rational,
     super_catalan,
 )
 from .matrices import (
@@ -21,15 +20,12 @@ from .matrices import (
     equal,
     from_rows,
     g_matrix,
-    hadamard_inverse,
     identity,
     l_matrix,
     matmul,
     pascal_matrix,
     reciprocal_pascal,
     super_catalan_matrix,
-    to_integer,
-    to_rational,
 )
 from .linalg import (
     BitGrowthMeter,
@@ -95,7 +91,6 @@ __all__ = [
     "from_rows",
     "g_matrix",
     "generated_sequence",
-    "hadamard_inverse",
     "identity",
     "invert_rational",
     "invert_unit_lower_triangular",
@@ -106,13 +101,10 @@ __all__ = [
     "pascal_matrix",
     "r_inverse_00",
     "r_inverse_via_factorization",
-    "rational",
     "reciprocal_pascal",
     "sign_pattern",
     "super_catalan",
     "super_catalan_candidates",
     "super_catalan_matrix",
-    "to_integer",
-    "to_rational",
     "triangle_rows_sequence",
 ]

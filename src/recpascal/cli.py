@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .identities import (
@@ -62,24 +61,28 @@ _GENERATORS = {
     "Rinv": r_inverse_via_factorization,
 }
 
-_CHECK_ORDER = ("grg", "ldl", "vonszily", "parity", "integrality", "det")
-
 _FORMATS = ("pretty", "csv", "json", "bfile")
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation, fully resolved."""
+def _check_det(n: int) -> CheckReport:
+    """Determinant magnitudes as a report; the sign note is not a failure."""
+    start = time.perf_counter()
+    cmp = det_comparison(n)
+    mismatch = None
+    if not cmp["magnitude_match"]:
+        mismatch = (0, 0, abs(cmp["formula"]), abs(cmp["oracle"]))
+    return CheckReport("det", n, mismatch is None, mismatch, time.perf_counter() - start)
 
-    command: str
-    n: int = 8
-    matrix: str = "reciprocal"
-    fmt: str = "pretty"
-    checks: tuple = ("all",)
-    oeis_id: str = ""
-    bfile_path: Path | None = None
-    signed: bool = False
-    output_path: Path | None = None
+
+#: Every check by its CLI name, in report order.
+_CHECKS = {
+    "grg": check_grg,
+    "ldl": check_ldl,
+    "vonszily": check_von_szily_upto,
+    "parity": check_l_inverse_column,
+    "integrality": check_integrality,
+    "det": _check_det,
+}
 
 
 def _positive_int(text: str) -> int:
@@ -117,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("check", help="run identity checks, print a JSON report array")
-    p.add_argument("--checks", nargs="+", choices=_CHECK_ORDER + ("all",),
+    p.add_argument("--checks", nargs="+", choices=tuple(_CHECKS) + ("all",),
                    default=["all"])
     add_common(p)
 
@@ -179,38 +182,10 @@ def _render_matrix(mat, fmt: str, kind: str) -> str:
     return _render_pretty(dense)
 
 
-def _run_checks(names, n: int) -> list:
-    wanted = set(_CHECK_ORDER) if "all" in names else set(names)
-    reports = []
-    for name in _CHECK_ORDER:
-        if name not in wanted:
-            continue
-        if name == "grg":
-            rep = check_grg(n)
-        elif name == "ldl":
-            rep = check_ldl(n)
-        elif name == "vonszily":
-            rep = check_von_szily_upto(n)
-        elif name == "parity":
-            rep = check_l_inverse_column(n)
-        elif name == "integrality":
-            rep = check_integrality(n)
-        else:
-            start = time.perf_counter()
-            cmp = det_comparison(n)
-            mismatch = None
-            if not cmp["magnitude_match"]:
-                mismatch = (0, 0, abs(cmp["formula"]), abs(cmp["oracle"]))
-            rep = CheckReport("det", n, mismatch is None, mismatch,
-                              time.perf_counter() - start)
-        reports.append(rep)
-    return reports
-
-
-def _det_text(config: RunConfig) -> tuple[str, int]:
-    cmp = det_comparison(config.n)
+def _det_text(args: argparse.Namespace) -> tuple[str, int]:
+    cmp = det_comparison(args.n)
     code = 0 if cmp["magnitude_match"] else 1
-    if config.fmt == "json":
+    if args.fmt == "json":
         obj = {
             "formula": str(cmp["formula"]),
             "oracle": str(cmp["oracle"]),
@@ -228,19 +203,19 @@ def _det_text(config: RunConfig) -> tuple[str, int]:
     return "".join(line + "\n" for line in lines), code
 
 
-def _oeis_text(config: RunConfig) -> tuple[str, int]:
-    oeis_id = config.oeis_id
-    if config.bfile_path is None:
+def _oeis_text(args: argparse.Namespace) -> tuple[str, int]:
+    oeis_id = args.oeis_id
+    if args.bfile_path is None:
         if oeis_id == "A068555":
             parts = []
-            for label, rec in super_catalan_candidates(max(config.n, 2)).items():
+            for label, rec in super_catalan_candidates(max(args.n, 2)).items():
                 parts.append(f"# candidate reading: {label}\n")
                 parts.append(emit_bfile(rec))
             return "".join(parts), 0
-        return emit_bfile(generated_sequence(oeis_id, config.n)), 0
+        return emit_bfile(generated_sequence(oeis_id, args.n)), 0
 
     try:
-        reference = parse_bfile(config.bfile_path.read_text(), oeis_id=oeis_id)
+        reference = parse_bfile(args.bfile_path.read_text(), oeis_id=oeis_id)
     except (OSError, ValueError) as exc:
         print(f"recpascal: cannot read b-file: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -248,7 +223,7 @@ def _oeis_text(config: RunConfig) -> tuple[str, int]:
     if oeis_id == "A068555":
         # Nothing asserted: describe how each candidate reading fares.
         results = {}
-        for label, rec in super_catalan_candidates(max(config.n, 2)).items():
+        for label, rec in super_catalan_candidates(max(args.n, 2)).items():
             try:
                 results[label] = crosscheck(reference, rec).to_json()
             except ValueError:
@@ -256,12 +231,12 @@ def _oeis_text(config: RunConfig) -> tuple[str, int]:
         obj = {"id": oeis_id, "asserted": False, "candidates": results}
         return json.dumps(obj, indent=2) + "\n", 0
 
-    generated = generated_sequence(oeis_id, config.n)
+    generated = generated_sequence(oeis_id, args.n)
     if oeis_id == "A060739":
-        report = crosscheck(reference, generated, magnitude_only=not config.signed)
+        report = crosscheck(reference, generated, magnitude_only=not args.signed)
         obj = {
             "id": oeis_id,
-            "signed": config.signed,
+            "signed": args.signed,
             "report": report.to_json(),
             "reference_signs": sign_pattern(reference.terms),
             "generated_signs": sign_pattern(generated.terms),
@@ -275,8 +250,10 @@ def _oeis_text(config: RunConfig) -> tuple[str, int]:
 def bench(n: int) -> dict:
     """Time both inversion routes and record peak numerator bit growth.
 
-    Equality of the two results is asserted (the CLI exits 1 if it ever
-    fails); timings and bit growth are measured, not asserted.
+    The factorization's bits are read off L^-1 and the returned inverse,
+    Gauss-Jordan's off every elimination step.  Equality of the two results
+    is asserted (the CLI exits 1 if it ever fails); timings and bit growth
+    are measured, not asserted.
     """
     r = reciprocal_pascal(n)
     t0 = time.perf_counter()
@@ -286,7 +263,8 @@ def bench(n: int) -> dict:
     oracle = invert_rational(r)
     t_oracle = time.perf_counter() - t0
     meter_fact = BitGrowthMeter()
-    r_inverse_via_factorization(n, meter=meter_fact)
+    meter_fact.observe_array(invert_unit_lower_triangular(l_matrix(n)))
+    meter_fact.observe_array(fact)
     meter_gj = BitGrowthMeter()
     invert_rational(r, meter=meter_gj)
     return {
@@ -303,49 +281,40 @@ def bench(n: int) -> dict:
     }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one resolved invocation; returns the process exit code."""
-    if config.command == "gen":
-        text = _render_matrix(_GENERATORS[config.matrix](config.n), config.fmt,
-                              config.matrix)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; returns the process exit code."""
+    if args.command == "gen":
+        text = _render_matrix(_GENERATORS[args.matrix](args.n), args.fmt, args.matrix)
         code = 0
-    elif config.command == "invert":
-        text = _render_matrix(r_inverse_via_factorization(config.n), config.fmt, "Rinv")
+    elif args.command == "invert":
+        text = _render_matrix(r_inverse_via_factorization(args.n), args.fmt, "Rinv")
         code = 0
-    elif config.command == "det":
-        text, code = _det_text(config)
-    elif config.command == "check":
-        reports = _run_checks(config.checks, config.n)
+    elif args.command == "det":
+        text, code = _det_text(args)
+    elif args.command == "check":
+        reports = [check(args.n) for name, check in _CHECKS.items()
+                   if "all" in args.checks or name in args.checks]
         text = json.dumps([rep.to_json() for rep in reports], indent=2) + "\n"
         code = 0 if all(rep.passed for rep in reports) else 1
-    elif config.command == "oeis":
-        text, code = _oeis_text(config)
-    elif config.command == "bench":
-        result = bench(config.n)
+    elif args.command == "oeis":
+        text, code = _oeis_text(args)
+    elif args.command == "bench":
+        result = bench(args.n)
         text = json.dumps(result, indent=2) + "\n"
         code = 0 if result["equal"] else 1
     else:
-        raise SystemExit(f"recpascal: unknown command {config.command!r}")
+        raise SystemExit(f"recpascal: unknown command {args.command!r}")
 
-    if config.output_path is not None:
-        config.output_path.write_text(text)
+    if args.output_path is not None:
+        try:
+            args.output_path.write_text(text)
+        except OSError as exc:
+            print(f"recpascal: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code
 
 
 def main(argv=None) -> None:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", 8),
-        matrix=getattr(args, "matrix", "reciprocal"),
-        fmt=getattr(args, "fmt", "pretty"),
-        checks=tuple(getattr(args, "checks", ("all",))),
-        oeis_id=getattr(args, "oeis_id", ""),
-        bfile_path=getattr(args, "bfile_path", None),
-        signed=getattr(args, "signed", False),
-        output_path=getattr(args, "output_path", None),
-    )
-    sys.exit(run(config))
+    sys.exit(run(build_parser().parse_args(argv)))

@@ -1,12 +1,11 @@
 """Exact combinatorial kernels: binomials, central binomials, super Catalan numbers.
 
-Integers are plain Python ints (arbitrary precision); rationals are
-fractions.Fraction.  Every division performed here is exact and checked at
-runtime, so a wrong intermediate can never round silently.
+Integers are plain Python ints (arbitrary precision).  Every division
+performed here is exact and checked at runtime, so a wrong intermediate can
+never round silently.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 
@@ -59,9 +58,3 @@ def super_catalan(m: int, n: int) -> int:
         factorial(m) * factorial(n) * factorial(m + n),
     )
 
-
-def rational(num: int, den: int = 1) -> Fraction:
-    """Canonical fraction num/den: fully reduced, denominator positive."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)

@@ -2,6 +2,11 @@
 path that inverts the reciprocal Pascal matrix through its triangular and
 diagonal factors.
 
+The inverse R^-1 = G L^-T D^-1 L^-1 G is assembled in plain ints: only
+D^-1 = diag(1, -1/2, 1/2, ...) is fractional, and D' = 2 D^-1 is integer.
+So the route forms 2 R^-1 = G L^-T D' L^-1 G and halves every entry with a
+checked division; that halving is the integrality claim, checked.
+
 Checks never raise on a mathematical failure; they return a CheckReport
 carrying the first counterexample, so callers can aggregate and serialize
 outcomes.  Genuine invariant violations (a non-integer where an integer is
@@ -15,17 +20,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import ExactnessError, binomial, super_catalan
-from .linalg import BitGrowthMeter, det_bareiss, invert_rational, invert_unit_lower_triangular
+from .combinatorics import ExactnessError, binomial, exact_div, super_catalan
+from .linalg import det_bareiss, invert_rational, invert_unit_lower_triangular
 from .matrices import (
+    Diagonal,
     d_matrix,
+    from_rows,
     g_matrix,
     identity,
     l_matrix,
     matmul,
     reciprocal_pascal,
     super_catalan_matrix,
-    to_integer,
 )
 
 
@@ -144,22 +150,13 @@ def check_von_szily_upto(n: int) -> CheckReport:
     return CheckReport("vonszily", n, mismatch is None, mismatch, time.perf_counter() - start)
 
 
-def _l_inverse_first_column(n: int) -> list:
-    """Column 0 of the binomial triangle's inverse, by forward substitution."""
-    l = l_matrix(n)
-    col = [1]
-    for i in range(1, n):
-        col.append(-sum(l[i, k] * col[k] for k in range(i)))
-    return col
-
-
 def check_l_inverse_column(n: int) -> CheckReport:
     """First column of the triangle's inverse: a leading 1, even entries below
     it, and entrywise agreement with the alternating diagonal."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
-    col = _l_inverse_first_column(n)
+    col = invert_unit_lower_triangular(l_matrix(n))[:, 0]
     d = d_matrix(n).diag
     mismatch = None
     if col[0] != 1:
@@ -175,28 +172,28 @@ def check_l_inverse_column(n: int) -> CheckReport:
     return CheckReport("parity", n, mismatch is None, mismatch, time.perf_counter() - start)
 
 
-def _r_inverse_rational(n: int, meter: BitGrowthMeter | None = None) -> np.ndarray:
+def _doubled_r_inverse(n: int) -> np.ndarray:
+    """2 R^-1 = G L^-T D' L^-1 G in plain ints, with D' = 2 D^-1 integer."""
     linv = invert_unit_lower_triangular(l_matrix(n))
+    d2 = Diagonal(tuple(exact_div(2, d) for d in d_matrix(n).diag))
     g = g_matrix(n)
-    scaled = matmul(linv.T, d_matrix(n).inverse())
-    mid = matmul(scaled, linv)
-    out = matmul(matmul(g, mid), g)
-    if meter is not None:
-        meter.observe_array(linv)
-        meter.observe_array(scaled)
-        meter.observe_array(mid)
-        meter.observe_array(out)
-    return out
+    return matmul(matmul(g, matmul(matmul(linv.T, d2), linv)), g)
 
 
-def r_inverse_via_factorization(n: int, meter: BitGrowthMeter | None = None) -> np.ndarray:
+def _halve(m: np.ndarray) -> np.ndarray:
+    """Entrywise checked halving: an odd entry raises rather than rounds."""
+    return from_rows([[exact_div(x, 2) for x in row] for row in m])
+
+
+def r_inverse_via_factorization(n: int) -> np.ndarray:
     """Integer inverse of the reciprocal Pascal matrix via its factors.
 
-    Assembles central-binomial scalings around the inverted triangle and the
-    reciprocal alternating diagonal, then demotes to integers through the
-    checked conversion: a failed integrality claim aborts rather than rounds.
+    Sandwiches the doubled reciprocal alternating diagonal between the
+    inverted triangle and its transpose, scales by the central binomials,
+    and halves every entry with a checked division: a failed integrality
+    claim aborts rather than rounds.
     """
-    return to_integer(_r_inverse_rational(n, meter))
+    return _halve(_doubled_r_inverse(n))
 
 
 def r_inverse_00(n: int) -> int:
@@ -204,7 +201,7 @@ def r_inverse_00(n: int) -> int:
     1 + sum of column0[i]^2 / d[i]; alternates between +1 and -1 with n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    col = _l_inverse_first_column(n)
+    col = invert_unit_lower_triangular(l_matrix(n))[:, 0]
     d = d_matrix(n).diag
     total = Fraction(1)
     for i in range(1, n):
@@ -252,17 +249,12 @@ def check_integrality(n: int) -> CheckReport:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
-    raw = _r_inverse_rational(n)
-    mismatch = None
-    for i in range(n):
-        for j in range(n):
-            if raw[i, j].denominator != 1:
-                mismatch = (i, j, "an integer entry", raw[i, j])
-                break
-        if mismatch is not None:
-            break
-    if mismatch is None:
-        rinv = to_integer(raw)
+    doubled = _doubled_r_inverse(n)
+    odd = next((ij for ij, x in np.ndenumerate(doubled) if x % 2), None)
+    if odd is not None:
+        mismatch = (*odd, "an integer entry", Fraction(doubled[odd], 2))
+    else:
+        rinv = _halve(doubled)
         r = reciprocal_pascal(n)
         mismatch = _first_mismatch(invert_rational(r), rinv)
         if mismatch is None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import ExactnessError, exact_div
+from .combinatorics import exact_div
 
 
 def _require_size(n: int) -> None:
@@ -67,12 +67,6 @@ class Diagonal:
         return from_rows(
             [[self.diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
-
-    def inverse(self) -> "Diagonal":
-        """Entrywise reciprocal as exact fractions."""
-        if any(x == 0 for x in self.diag):
-            raise ValueError("diagonal contains a zero; not invertible")
-        return Diagonal(tuple(Fraction(1) / x for x in self.diag))
 
 
 def pascal_matrix(n: int) -> np.ndarray:
@@ -149,51 +143,6 @@ def d_matrix(n: int) -> Diagonal:
     """Diagonal (1, -2, 2, -2, ...): a leading 1, then alternating -2 and 2."""
     _require_size(n)
     return Diagonal((1,) + tuple(-2 if m % 2 else 2 for m in range(1, n)))
-
-
-def hadamard_inverse(m: np.ndarray) -> np.ndarray:
-    """Entrywise reciprocal; every entry must be nonzero."""
-    rows, cols = m.shape
-    out = np.empty((rows, cols), dtype=object)
-    for i in range(rows):
-        for j in range(cols):
-            x = m[i, j]
-            if x == 0:
-                raise ValueError(f"zero entry at ({i}, {j}); entrywise inverse undefined")
-            out[i, j] = Fraction(1) / x
-    return _frozen(out)
-
-
-def to_rational(m: np.ndarray) -> np.ndarray:
-    """Copy with every entry promoted to a Fraction."""
-    rows, cols = m.shape
-    out = np.empty((rows, cols), dtype=object)
-    for i in range(rows):
-        for j in range(cols):
-            out[i, j] = Fraction(m[i, j])
-    return _frozen(out)
-
-
-def to_integer(m: np.ndarray) -> np.ndarray:
-    """Checked demotion to an integer matrix.
-
-    Raises ExactnessError on the first entry that is not an exact integer.
-    Callers rely on this to surface a failed integrality claim instead of
-    rounding it away.
-    """
-    rows, cols = m.shape
-    out = np.empty((rows, cols), dtype=object)
-    for i in range(rows):
-        for j in range(cols):
-            x = m[i, j]
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ExactnessError(f"entry ({i}, {j}) = {x} is not an integer")
-                x = int(x)
-            elif not isinstance(x, int):
-                raise ExactnessError(f"entry ({i}, {j}) = {x!r} is not an integer")
-            out[i, j] = x
-    return _frozen(out)
 
 
 def matmul(a, b):

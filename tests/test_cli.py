@@ -193,13 +193,14 @@ def test_oeis_candidates_assert_nothing(tmp_path):
 
 
 def test_bench_reports_equality_and_bits():
-    res = run_cli("bench", "--n", "6")
-    assert res.returncode == 0
-    obj = json.loads(res.stdout)
-    assert obj["equal"] is True
-    assert obj["factorization"]["max_numerator_bits"] > 0
-    assert obj["gauss_jordan"]["max_numerator_bits"] > 0
-    assert obj["factorization"]["seconds"] >= 0
+    for n, bits in ((1, 1), (6, 18), (24, 106)):
+        res = run_cli("bench", "--n", str(n))
+        assert res.returncode == 0
+        obj = json.loads(res.stdout)
+        assert obj["equal"] is True
+        assert obj["factorization"]["max_numerator_bits"] == bits
+        assert obj["gauss_jordan"]["max_numerator_bits"] > 0
+        assert obj["factorization"]["seconds"] >= 0
 
 
 def test_output_flag_writes_file(tmp_path):
@@ -209,6 +210,14 @@ def test_output_flag_writes_file(tmp_path):
     assert res.returncode == 0
     assert res.stdout == ""
     assert out.read_text() == "1,1\n1,2\n"
+
+
+def test_output_to_unwritable_path_exits_2(tmp_path):
+    res = run_cli("gen", "--n", "2", "--output", str(tmp_path / "missing" / "x"))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("recpascal: cannot write")
+    assert "Traceback" not in res.stderr
 
 
 def test_console_script_entry_point():

@@ -1,6 +1,5 @@
 """Scalar kernels against the factorial-ratio oracle and pinned values."""
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +9,6 @@ from recpascal import (
     binomial,
     central_binomial,
     exact_div,
-    rational,
     super_catalan,
 )
 
@@ -116,38 +114,3 @@ def test_super_catalan_rejects_negative():
         super_catalan(-1, 0)
     with pytest.raises(ValueError):
         super_catalan(0, -2)
-
-
-def test_rational_pinned_values():
-    half = rational(2, 4)
-    assert half.numerator == 1 and half.denominator == 2
-    neg = rational(3, -6)
-    assert neg.numerator == -1 and neg.denominator == 2
-    zero = rational(0, 7)
-    assert zero.numerator == 0 and zero.denominator == 1
-
-
-def test_rational_defaults_to_integer():
-    assert rational(5) == Fraction(5)
-
-
-def test_rational_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        rational(1, 0)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(lambda d: d != 0))
-def test_rational_is_canonical(num, den):
-    q = rational(num, den)
-    assert q.denominator > 0
-    assert math.gcd(q.numerator, q.denominator) == 1
-    assert q + (-q) == 0
-
-
-@given(
-    st.integers(-10**4, 10**4).filter(lambda v: v != 0),
-    st.integers(-10**4, 10**4).filter(lambda v: v != 0),
-)
-def test_rational_field_inverses(num, den):
-    q = rational(num, den)
-    assert q * rational(den, num) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from recpascal import (
     CheckReport,
+    Diagonal,
     ExactnessError,
     binomial,
     check_grg,
@@ -31,6 +32,7 @@ from recpascal import (
     reciprocal_pascal,
     super_catalan,
 )
+from recpascal import identities
 from recpascal.identities import _first_mismatch
 
 from oracles import det_cofactor
@@ -147,7 +149,7 @@ def test_r_inverse_pinned():
 
 
 def test_r_inverse_matches_oracle_and_is_integer():
-    for n in range(1, 13):
+    for n in (*range(1, 13), 64):
         rinv = r_inverse_via_factorization(n)
         assert all(isinstance(x, int) for x in rinv.flat)
         r = reciprocal_pascal(n)
@@ -211,8 +213,12 @@ def test_integrality_pinned_sizes():
         assert rep.passed and rep.name == "integrality"
 
 
-def test_factorization_inverse_rejects_nothing_silently():
-    # demotion through to_integer raises on any fractional entry
+def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
+    # with D = (2) the doubled inverse is the odd 1: halving it must raise,
+    # and the integrality check must report 1/2 rather than round it
+    monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((2,) * n))
     with pytest.raises(ExactnessError):
-        from recpascal import to_integer
-        to_integer(from_rows([[Fraction(1, 3)]]))
+        r_inverse_via_factorization(1)
+    rep = check_integrality(1)
+    assert not rep.passed
+    assert rep.counterexample == (0, 0, "an integer entry", Fraction(1, 2))
