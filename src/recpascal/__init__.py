@@ -32,6 +32,7 @@ from .linalg import (
     det_bareiss,
     invert_rational,
     invert_unit_lower_triangular,
+    leading_minors,
 )
 from .identities import (
     CheckReport,
@@ -95,6 +96,7 @@ __all__ = [
     "invert_rational",
     "invert_unit_lower_triangular",
     "l_matrix",
+    "leading_minors",
     "load_reference_bfile",
     "matmul",
     "parse_bfile",

@@ -6,7 +6,7 @@ never round silently.
 """
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 
 
 class ExactnessError(ArithmeticError):
@@ -22,20 +22,12 @@ def exact_div(a: int, b: int) -> int:
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero when k falls outside [0, n].
-
-    Uses the multiplicative recurrence with one exact division per step,
-    which keeps intermediates no larger than the result itself.
-    """
+    """Binomial coefficient C(n, k); zero when k falls outside [0, n]."""
     if n < 0:
         raise ValueError(f"binomial needs n >= 0, got n={n}")
     if k < 0 or k > n:
         return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = exact_div(out * (n - k + i), i)
-    return out
+    return comb(n, k)
 
 
 def central_binomial(m: int) -> int:

@@ -9,7 +9,7 @@ agreement meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -38,40 +38,44 @@ def _require_square(m: np.ndarray) -> None:
         raise ValueError(f"square matrix required, got shape {m.shape}")
 
 
-def det_bareiss(m: np.ndarray) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Rational input is first scaled row by row to integers (per-row lcm of
-    the denominators) and the scaling divided back out at the end.  Every
-    interior division the algorithm performs is exact by construction, and
-    checked at runtime anyway.
-    """
-    _require_square(m)
-    n = m.shape[0]
-    work = []
-    scale = 1
-    for i in range(n):
+def _scaled_rows(m: np.ndarray) -> tuple[list, list]:
+    """Each row as plain ints, scaled by the lcm of its own denominators;
+    returns the rows and the per-row scale factors."""
+    rows, factors = [], []
+    for i in range(m.shape[0]):
         row = list(m[i])
         dens = [x.denominator for x in row if isinstance(x, Fraction)]
         f = lcm(*dens) if dens else 1
         if f != 1:
             row = [int(x * f) for x in row]
-            scale *= f
         else:
             row = [int(x) if isinstance(x, Fraction) else x for x in row]
-        work.append(row)
+        rows.append(row)
+        factors.append(f)
+    return rows, factors
 
+
+def _eliminate(work: list, pivoting: bool) -> int:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Returns the sign of the row permutation, or 0 if the matrix is singular.
+    Without pivoting a zero pivot raises ValueError instead, and afterwards
+    work[k][k] is the leading principal minor of size k + 1.
+    """
+    n = len(work)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if work[k][k] == 0:
+            if not pivoting:
+                raise ValueError(f"leading principal minor of size {k + 1} is zero")
             for r in range(k + 1, n):
                 if work[r][k] != 0:
                     work[k], work[r] = work[r], work[k]
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = work[k][k]
         row_k = work[k]
         for i in range(k + 1, n):
@@ -81,7 +85,39 @@ def det_bareiss(m: np.ndarray) -> Fraction:
                 row_i[j] = exact_div(pivot * row_i[j] - lead * row_k[j], prev)
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * work[n - 1][n - 1], scale)
+    return sign
+
+
+def det_bareiss(m: np.ndarray) -> Fraction:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Rational input is first scaled row by row to integers (per-row lcm of
+    the denominators) and the scaling divided back out at the end.  Every
+    interior division the algorithm performs is exact by construction, and
+    checked at runtime anyway.
+    """
+    _require_square(m)
+    work, factors = _scaled_rows(m)
+    sign = _eliminate(work, pivoting=True)
+    return Fraction(sign * work[-1][-1], prod(factors))
+
+
+def leading_minors(m: np.ndarray) -> list:
+    """Determinants of the leading k x k blocks of m, k = 1..n, as Fractions.
+
+    One elimination without row swaps yields them all: on the row-scaled
+    integer matrix the minor of size k is det(m[:k, :k]) times the first k
+    row factors.  A zero leading minor raises ValueError.
+    """
+    _require_square(m)
+    work, factors = _scaled_rows(m)
+    _eliminate(work, pivoting=False)
+    minors = []
+    scale = 1
+    for k, f in enumerate(factors):
+        scale *= f
+        minors.append(Fraction(work[k][k], scale))
+    return minors
 
 
 def invert_rational(m: np.ndarray, meter: BitGrowthMeter | None = None) -> np.ndarray:

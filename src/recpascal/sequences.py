@@ -13,7 +13,7 @@ from importlib import resources
 
 from .combinatorics import ExactnessError, exact_div
 from .identities import CheckReport
-from .linalg import det_bareiss, invert_rational, invert_unit_lower_triangular
+from .linalg import invert_unit_lower_triangular, leading_minors
 from .matrices import g_matrix, l_matrix, pascal_matrix, reciprocal_pascal, super_catalan_matrix
 
 #: ids of the catalogued sequences this package can generate terms for.
@@ -117,14 +117,15 @@ def antidiagonal_sequence(m) -> list:
 def det_inverse_sequence(max_n: int) -> SequenceRecord:
     """Determinants of the integer inverse for sizes 1..max_n, indexed by size.
 
-    Each determinant comes from the elimination oracle and is asserted to be
-    an exact integer.
+    R_n is the leading block of R_max_n, so one fraction-free elimination of
+    the largest reciprocal Pascal matrix yields every det(R_n); each term is
+    1 / det(R_n), asserted to be an exact integer.
     """
     if max_n < 1:
         raise ValueError(f"need max_n >= 1, got {max_n}")
     terms = []
-    for n in range(1, max_n + 1):
-        d = det_bareiss(invert_rational(reciprocal_pascal(n)))
+    for n, minor in enumerate(leading_minors(reciprocal_pascal(max_n)), start=1):
+        d = 1 / minor
         if d.denominator != 1:
             raise ExactnessError(f"determinant for size {n} is not an integer: {d}")
         terms.append(int(d))

@@ -1,12 +1,18 @@
 """Independent slow oracles used only by the test suite.
 
-These deliberately share no code with the package: binomials come from
-factorials, determinants from cofactor expansion.  Agreement between a fast
-route and a slow oracle is the evidence the tests are after.
+These deliberately avoid the package's fast routes: binomials come from
+factorials, determinants from cofactor expansion, and det(R^-1) from the
+Gauss-Jordan inverse of R rather than from the leading minors of R itself.
+Agreement between a fast route and a slow oracle is the evidence the tests
+are after.
 """
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+
+from recpascal import det_bareiss, invert_rational, reciprocal_pascal
 
 
 def binomial_factorial(n: int, k: int) -> int:
@@ -48,3 +54,20 @@ def det_cofactor(m) -> Fraction:
         return total
 
     return minor(0, tuple(range(n)))
+
+
+def det_r_inverse_gauss_jordan(n: int) -> Fraction:
+    """det(R^-1) by Bareiss on the Gauss-Jordan inverse of R: the inversion
+    that the one-pass leading-minor route makes unnecessary."""
+    return det_bareiss(invert_rational(reciprocal_pascal(n)))
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's int <-> str digit limit, restoring it on exit."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

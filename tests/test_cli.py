@@ -3,8 +3,11 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from math import comb
 
 import pytest
+
+from oracles import unlimited_int_digits
 
 VENDORED_BFILE = str(resources.files("recpascal").joinpath("data").joinpath("b000984.txt"))
 
@@ -199,8 +202,23 @@ def test_bench_reports_equality_and_bits():
         obj = json.loads(res.stdout)
         assert obj["equal"] is True
         assert obj["factorization"]["max_numerator_bits"] == bits
-        assert obj["gauss_jordan"]["max_numerator_bits"] > 0
+        assert obj["gauss_jordan"]["max_numerator_bits"] == bits
         assert obj["factorization"]["seconds"] >= 0
+
+
+def test_oeis_terms_past_the_digit_limit_round_trip(tmp_path):
+    # C(2m, m) passes the interpreter's default 4300-digit int <-> str limit
+    # near m = 7150; emitting and re-reading such terms must still work
+    ref = tmp_path / "b000984.txt"
+    res = run_cli("oeis", "--id", "A000984", "--n", "8000", "--output", str(ref))
+    assert res.returncode == 0 and res.stderr == ""
+    last_index, last_term = ref.read_text().splitlines()[-1].split()
+    with unlimited_int_digits():
+        assert (int(last_index), int(last_term)) == (7999, comb(15998, 7999))
+    res = run_cli("oeis", "--id", "A000984", "--n", "8000", "--bfile", str(ref))
+    assert res.returncode == 0 and res.stderr == ""
+    report = json.loads(res.stdout)["report"]
+    assert report["passed"] is True and report["n"] == 8000
 
 
 def test_output_flag_writes_file(tmp_path):

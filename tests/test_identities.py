@@ -222,3 +222,14 @@ def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
     rep = check_integrality(1)
     assert not rep.passed
     assert rep.counterexample == (0, 0, "an integer entry", Fraction(1, 2))
+
+
+def test_integrality_checks_the_identity_in_integers(monkeypatch):
+    # the inverse and the Gauss-Jordan oracle agree on the same wrong matrix,
+    # so only R . R^-1 = I can catch it; row 1 of R is scaled by lcm 2
+    wrong = from_rows([[0, 1], [1, -1]])
+    monkeypatch.setattr(identities, "_doubled_r_inverse", lambda n: wrong * 2)
+    monkeypatch.setattr(identities, "invert_rational", lambda r: wrong)
+    rep = check_integrality(2)
+    assert not rep.passed
+    assert rep.counterexample == (1, 0, 0, Fraction(1, 2))

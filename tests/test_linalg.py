@@ -13,6 +13,7 @@ from recpascal import (
     invert_rational,
     invert_unit_lower_triangular,
     l_matrix,
+    leading_minors,
     matmul,
     reciprocal_pascal,
 )
@@ -83,6 +84,38 @@ def test_det_matches_cofactor_on_random_integer_matrices(entries):
 def test_det_matches_cofactor_on_random_rational_matrices(entries):
     m = from_rows(entries)
     assert det_bareiss(m) == det_cofactor(m)
+
+
+def test_leading_minors_match_cofactor_on_every_block():
+    m = reciprocal_pascal(12)
+    assert leading_minors(m) == [det_cofactor(m[:k, :k]) for k in range(1, 13)]
+
+
+def test_leading_minors_raise_on_a_zero_minor():
+    # det_bareiss swaps rows here; the leading-minor route must not
+    with pytest.raises(ValueError, match="size 1 is zero"):
+        leading_minors(from_rows([[0, 1], [1, 0]]))
+    with pytest.raises(ValueError, match="size 2 is zero"):
+        leading_minors(from_rows([[1, 2], [2, 4]]))
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
+    )
+)
+def test_leading_minors_match_cofactor_on_random_integer_matrices(entries):
+    m = from_rows(entries)
+    expected = [det_cofactor(m[:k, :k]) for k in range(1, len(entries) + 1)]
+    if 0 in expected:
+        with pytest.raises(ValueError, match=f"size {expected.index(0) + 1} is zero"):
+            leading_minors(m)
+    else:
+        assert leading_minors(m) == expected
 
 
 def test_invert_pinned_values():

@@ -1,14 +1,16 @@
 """b-file round-trips, matrix readings, and catalogued-sequence crosschecks."""
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from recpascal import (
     SequenceRecord,
     antidiagonal_sequence,
     binomial,
     crosscheck,
+    det_comparison,
     det_inverse_sequence,
     det_r_inverse_formula,
     emit_bfile,
@@ -25,6 +27,8 @@ from recpascal import (
     super_catalan_candidates,
     triangle_rows_sequence,
 )
+
+from oracles import det_r_inverse_gauss_jordan, unlimited_int_digits
 
 
 def test_record_coerces_terms_to_tuple():
@@ -98,6 +102,29 @@ def test_round_trip_property(offset, terms):
     assert parse_bfile(emit_bfile(rec), oeis_id="T") == rec
 
 
+_huge_terms = st.builds(
+    lambda sign, digits, tail: sign * (10**digits + tail),
+    st.sampled_from((1, -1)),
+    st.integers(4300, 9000),
+    st.integers(0, 10**40),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(-50, 50),
+    st.lists(st.integers(-10**40, 10**40), max_size=5),
+    st.lists(_huge_terms, min_size=1, max_size=4),
+)
+def test_round_trip_property_past_the_digit_limit(offset, small, huge):
+    # terms longer than the interpreter's default 4300-digit int <-> str limit
+    before = sys.get_int_max_str_digits()
+    rec = SequenceRecord("T", offset, tuple(small) + tuple(huge))
+    with unlimited_int_digits():
+        assert parse_bfile(emit_bfile(rec), oeis_id="T") == rec
+    assert sys.get_int_max_str_digits() == before
+
+
 def test_triangle_reading_pinned():
     assert triangle_rows_sequence(identity(2)) == [1, 0, 1]
     assert triangle_rows_sequence(l_matrix(3)) == [1, 2, 1, 6, 4, 1]
@@ -136,6 +163,17 @@ def test_det_inverse_sequence_matches_formula_magnitudes():
     rec = det_inverse_sequence(16)
     for n in range(1, 17):
         assert abs(rec.terms[n - 1]) == abs(det_r_inverse_formula(n)), n
+
+
+def test_det_inverse_sequence_matches_gauss_jordan_composition():
+    rec = det_inverse_sequence(16)
+    assert rec.terms == tuple(det_r_inverse_gauss_jordan(n) for n in range(1, 17))
+
+
+def test_sign_ledger_to_16_is_unchanged():
+    assert sign_pattern(det_inverse_sequence(16).terms) == "+--++--++--++--+"
+    flagged = [n for n in range(1, 17) if not det_comparison(n)["sign_match"]]
+    assert flagged == list(range(1, 17, 2))
 
 
 def test_crosscheck_passes_on_identical_records():
