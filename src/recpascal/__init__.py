@@ -10,7 +10,6 @@ catalogued integer sequences.
 from .combinatorics import (
     ExactnessError,
     binomial,
-    central_binomial,
     exact_div,
     super_catalan,
 )
@@ -29,7 +28,6 @@ from .matrices import (
 )
 from .linalg import (
     BitGrowthMeter,
-    det_bareiss,
     invert_rational,
     invert_unit_lower_triangular,
     leading_minors,
@@ -73,7 +71,6 @@ __all__ = [
     "SequenceRecord",
     "antidiagonal_sequence",
     "binomial",
-    "central_binomial",
     "check_grg",
     "check_integrality",
     "check_l_inverse_column",
@@ -82,7 +79,6 @@ __all__ = [
     "check_von_szily_upto",
     "crosscheck",
     "d_matrix",
-    "det_bareiss",
     "det_comparison",
     "det_inverse_sequence",
     "det_r_inverse_formula",

@@ -71,7 +71,7 @@ def _check_det(n: int) -> CheckReport:
     mismatch = None
     if not cmp["magnitude_match"]:
         mismatch = (0, 0, abs(cmp["formula"]), abs(cmp["oracle"]))
-    return CheckReport("det", n, mismatch is None, mismatch, time.perf_counter() - start)
+    return CheckReport("det", n, mismatch, time.perf_counter() - start)
 
 
 #: Every check by its CLI name, in report order.
@@ -166,9 +166,7 @@ def _matrix_reading(mat, kind: str) -> SequenceRecord:
         return SequenceRecord(kind, 0, mat.diag)
     if kind in ("L", "Linv"):
         return SequenceRecord(kind, 0, tuple(triangle_rows_sequence(mat)))
-    n = mat.shape[0]
-    flat = antidiagonal_sequence(mat)[: n * (n + 1) // 2]
-    return SequenceRecord(kind, 0, tuple(flat))
+    return SequenceRecord(kind, 0, tuple(antidiagonal_sequence(mat)))
 
 
 def _render_matrix(mat, fmt: str, kind: str) -> str:
@@ -232,8 +230,13 @@ def _oeis_text(args: argparse.Namespace) -> tuple[str, int]:
         return json.dumps(obj, indent=2) + "\n", 0
 
     generated = generated_sequence(oeis_id, args.n)
-    if oeis_id == "A060739":
-        report = crosscheck(reference, generated, magnitude_only=not args.signed)
+    signs = oeis_id == "A060739"
+    try:
+        report = crosscheck(reference, generated, magnitude_only=signs and not args.signed)
+    except ValueError as exc:
+        print(f"recpascal: cannot cross-check: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    if signs:
         obj = {
             "id": oeis_id,
             "signed": args.signed,
@@ -242,7 +245,6 @@ def _oeis_text(args: argparse.Namespace) -> tuple[str, int]:
             "generated_signs": sign_pattern(generated.terms),
         }
     else:
-        report = crosscheck(reference, generated)
         obj = {"id": oeis_id, "report": report.to_json()}
     return json.dumps(obj, indent=2) + "\n", 0 if report.passed else 1
 

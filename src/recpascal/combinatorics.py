@@ -1,4 +1,4 @@
-"""Exact combinatorial kernels: binomials, central binomials, super Catalan numbers.
+"""Exact combinatorial kernels: binomials and super Catalan numbers.
 
 Integers are plain Python ints (arbitrary precision).  Every division
 performed here is exact and checked at runtime, so a wrong intermediate can
@@ -28,13 +28,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def central_binomial(m: int) -> int:
-    """Central binomial coefficient C(2m, m).  Even for every m > 0."""
-    if m < 0:
-        raise ValueError(f"central_binomial needs m >= 0, got {m}")
-    return binomial(2 * m, m)
 
 
 def super_catalan(m: int, n: int) -> int:

@@ -1,15 +1,15 @@
 """Exact linear algebra used as independent oracles.
 
-Fraction-free (Bareiss) determinants, Gauss-Jordan inversion over the
-rationals, and forward-substitution inversion for unit lower triangular
-integer matrices.  Nothing here knows about the structured factorizations
-in identities.py; keeping the two routes independent is what makes their
-agreement meaningful.
+Leading principal minors by one fraction-free (Bareiss) elimination,
+Gauss-Jordan inversion over the rationals, and forward-substitution
+inversion for unit lower triangular integer matrices.  Nothing here knows
+about the structured factorizations in identities.py; keeping the two
+routes independent is what makes their agreement meaningful.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 import numpy as np
 
@@ -55,28 +55,26 @@ def _scaled_rows(m: np.ndarray) -> tuple[list, list]:
     return rows, factors
 
 
-def _eliminate(work: list, pivoting: bool) -> int:
-    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+def leading_minors(m: np.ndarray) -> list:
+    """Determinants of the leading k x k blocks of m, k = 1..n, as Fractions.
 
-    Returns the sign of the row permutation, or 0 if the matrix is singular.
-    Without pivoting a zero pivot raises ValueError instead, and afterwards
-    work[k][k] is the leading principal minor of size k + 1.
+    One fraction-free (Bareiss) elimination without row swaps yields them
+    all: afterwards the k-th pivot of the row-scaled integer matrix is
+    det(m[:k, :k]) times the first k row factors.  Every interior division
+    is exact by construction, and checked at runtime anyway.  A zero
+    leading minor raises ValueError.
     """
+    _require_square(m)
+    work, factors = _scaled_rows(m)
     n = len(work)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if work[k][k] == 0:
-            if not pivoting:
-                raise ValueError(f"leading principal minor of size {k + 1} is zero")
-            for r in range(k + 1, n):
-                if work[r][k] != 0:
-                    work[k], work[r] = work[r], work[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    minors = []
+    prev = scale = 1
+    for k, f in enumerate(factors):
         pivot = work[k][k]
+        if pivot == 0:
+            raise ValueError(f"leading principal minor of size {k + 1} is zero")
+        scale *= f
+        minors.append(Fraction(pivot, scale))
         row_k = work[k]
         for i in range(k + 1, n):
             row_i = work[i]
@@ -85,38 +83,6 @@ def _eliminate(work: list, pivoting: bool) -> int:
                 row_i[j] = exact_div(pivot * row_i[j] - lead * row_k[j], prev)
             row_i[k] = 0
         prev = pivot
-    return sign
-
-
-def det_bareiss(m: np.ndarray) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Rational input is first scaled row by row to integers (per-row lcm of
-    the denominators) and the scaling divided back out at the end.  Every
-    interior division the algorithm performs is exact by construction, and
-    checked at runtime anyway.
-    """
-    _require_square(m)
-    work, factors = _scaled_rows(m)
-    sign = _eliminate(work, pivoting=True)
-    return Fraction(sign * work[-1][-1], prod(factors))
-
-
-def leading_minors(m: np.ndarray) -> list:
-    """Determinants of the leading k x k blocks of m, k = 1..n, as Fractions.
-
-    One elimination without row swaps yields them all: on the row-scaled
-    integer matrix the minor of size k is det(m[:k, :k]) times the first k
-    row factors.  A zero leading minor raises ValueError.
-    """
-    _require_square(m)
-    work, factors = _scaled_rows(m)
-    _eliminate(work, pivoting=False)
-    minors = []
-    scale = 1
-    for k, f in enumerate(factors):
-        scale *= f
-        minors.append(Fraction(work[k][k], scale))
     return minors
 
 
@@ -124,7 +90,7 @@ def invert_rational(m: np.ndarray, meter: BitGrowthMeter | None = None) -> np.nd
     """Exact inverse by Gauss-Jordan elimination over the rationals.
 
     The pivot is the first nonzero entry down each column: exact arithmetic
-    needs no magnitude pivoting, and first-nonzero keeps the elimination
+    needs no choice by magnitude, and first-nonzero keeps the elimination
     order deterministic.  Raises ValueError naming the rank reached if the
     matrix turns out singular.
     """

@@ -58,10 +58,6 @@ class Diagonal:
     def n(self) -> int:
         return len(self.diag)
 
-    @property
-    def T(self) -> "Diagonal":
-        return self
-
     def to_dense(self) -> np.ndarray:
         n = self.n
         return from_rows(
@@ -146,11 +142,7 @@ def d_matrix(n: int) -> Diagonal:
 
 
 def matmul(a, b):
-    """Exact matrix product; Diagonal operands become row or column scalings."""
-    if isinstance(a, Diagonal) and isinstance(b, Diagonal):
-        if a.n != b.n:
-            raise ValueError(f"dimension mismatch: {a.n} x {b.n}")
-        return Diagonal(tuple(x * y for x, y in zip(a.diag, b.diag)))
+    """Exact matrix product; a Diagonal operand becomes a row or column scaling."""
     if isinstance(a, Diagonal):
         if a.n != b.shape[0]:
             raise ValueError(f"dimension mismatch: {a.n} vs {b.shape}")
@@ -165,11 +157,5 @@ def matmul(a, b):
 
 
 def equal(a, b) -> bool:
-    """Exact entrywise equality; Diagonal operands compare as dense."""
-    if isinstance(a, Diagonal) and isinstance(b, Diagonal):
-        return a.n == b.n and all(x == y for x, y in zip(a.diag, b.diag))
-    if isinstance(a, Diagonal):
-        a = a.to_dense()
-    if isinstance(b, Diagonal):
-        b = b.to_dense()
+    """Exact entrywise equality of two dense matrices."""
     return a.shape == b.shape and bool((a == b).all())

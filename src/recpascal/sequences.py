@@ -77,20 +77,19 @@ def load_reference_bfile(oeis_id: str) -> SequenceRecord:
     return parse_bfile(text, oeis_id=oeis_id)
 
 
-def triangle_rows_sequence(m, triangular: bool = True) -> list:
+def triangle_rows_sequence(m) -> list:
     """Flatten a square matrix by triangle rows: row i contributes columns 0..i.
 
-    With triangular=True (the default), any nonzero entry above the diagonal
-    is an error, since the reading would silently drop it.
+    Any nonzero entry above the diagonal is an error, since the reading
+    would silently drop it.
     """
     rows, cols = m.shape
     if rows != cols:
         raise ValueError(f"square matrix required, got shape {m.shape}")
-    if triangular:
-        for i in range(rows):
-            for j in range(i + 1, cols):
-                if m[i, j] != 0:
-                    raise ValueError(f"nonzero entry above the diagonal at ({i}, {j})")
+    for i in range(rows):
+        for j in range(i + 1, cols):
+            if m[i, j] != 0:
+                raise ValueError(f"nonzero entry above the diagonal at ({i}, {j})")
     out = []
     for i in range(rows):
         out.extend(m[i, j] for j in range(i + 1))
@@ -98,20 +97,16 @@ def triangle_rows_sequence(m, triangular: bool = True) -> list:
 
 
 def antidiagonal_sequence(m) -> list:
-    """Flatten a square matrix along antidiagonals: (0,0), (0,1), (1,0), ...
+    """Flatten a square matrix along its complete antidiagonals:
+    (0,0), (0,1), (1,0), ..., n(n+1)/2 terms in all.
 
     Within an antidiagonal the row index ascends.  Antidiagonals past the
-    main one are truncated by the matrix boundary.
+    main one would be cut by the matrix boundary, so they are left out.
     """
     rows, cols = m.shape
     if rows != cols:
         raise ValueError(f"square matrix required, got shape {m.shape}")
-    n = rows
-    out = []
-    for d in range(2 * n - 1):
-        for i in range(max(0, d - n + 1), min(d, n - 1) + 1):
-            out.append(m[i, d - i])
-    return out
+    return [m[i, d - i] for d in range(rows) for i in range(d + 1)]
 
 
 def det_inverse_sequence(max_n: int) -> SequenceRecord:
@@ -156,11 +151,7 @@ def crosscheck(
             mismatch = (idx, 0, e, a)
             break
     return CheckReport(
-        f"crosscheck:{reference.oeis_id}",
-        hi - lo,
-        mismatch is None,
-        mismatch,
-        time.perf_counter() - start,
+        f"crosscheck:{reference.oeis_id}", hi - lo, mismatch, time.perf_counter() - start
     )
 
 
@@ -181,8 +172,7 @@ def generated_sequence(oeis_id: str, n: int) -> SequenceRecord:
     if oeis_id == "A000984":
         return SequenceRecord(oeis_id, 0, g_matrix(n).diag)
     if oeis_id == "A007318":
-        flat = antidiagonal_sequence(pascal_matrix(n))[: n * (n + 1) // 2]
-        return SequenceRecord(oeis_id, 0, tuple(flat))
+        return SequenceRecord(oeis_id, 0, tuple(antidiagonal_sequence(pascal_matrix(n))))
     if oeis_id == "A094527":
         return SequenceRecord(oeis_id, 0, tuple(triangle_rows_sequence(l_matrix(n))))
     if oeis_id == "A110162":
@@ -208,9 +198,8 @@ def super_catalan_candidates(n: int) -> dict:
         raise ValueError(f"need n >= 2, got {n}")
     s = super_catalan_matrix(n)
     flat_rows = [s[i, j] for i in range(n) for j in range(n)]
-    anti = antidiagonal_sequence(s)[: n * (n + 1) // 2]
-    sub = s[1:, 1:]
-    halved = [exact_div(x, 2) for x in antidiagonal_sequence(sub)[: (n - 1) * n // 2]]
+    anti = antidiagonal_sequence(s)
+    halved = [exact_div(x, 2) for x in antidiagonal_sequence(s[1:, 1:])]
     return {
         "rows": SequenceRecord("A068555", 0, tuple(flat_rows)),
         "antidiagonals": SequenceRecord("A068555", 0, tuple(anti)),

@@ -1,8 +1,9 @@
 """Independent slow oracles used only by the test suite.
 
 These deliberately avoid the package's fast routes: binomials come from
-factorials, determinants from cofactor expansion, and det(R^-1) from the
-Gauss-Jordan inverse of R rather than from the leading minors of R itself.
+factorials, determinants from cofactor expansion or a pivoting Bareiss
+elimination of their own, and det(R^-1) from the Gauss-Jordan inverse of R
+rather than from the leading minors of R itself.
 Agreement between a fast route and a slow oracle is the evidence the tests
 are after.
 """
@@ -10,9 +11,9 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from recpascal import det_bareiss, invert_rational, reciprocal_pascal
+from recpascal import invert_rational, reciprocal_pascal
 
 
 def binomial_factorial(n: int, k: int) -> int:
@@ -54,6 +55,35 @@ def det_cofactor(m) -> Fraction:
         return total
 
     return minor(0, tuple(range(n)))
+
+
+def det_bareiss(m) -> Fraction:
+    """Determinant by fraction-free (Bareiss) elimination with row swaps.
+
+    A reference that shares no code with the package's leading-minor
+    route: the whole matrix is scaled to integers by one common
+    denominator, a zero pivot is swapped for the first nonzero entry below
+    it, and a singular matrix has determinant 0.
+    """
+    n = m.shape[0]
+    assert m.shape == (n, n)
+    scale = lcm(*(Fraction(x).denominator for x in m.flat))
+    work = [[int(Fraction(x) * scale) for x in row] for row in m]
+    sign, prev = 1, 1
+    for k in range(n):
+        if work[k][k] == 0:
+            below = [r for r in range(k + 1, n) if work[r][k] != 0]
+            if not below:
+                return Fraction(0)
+            work[k], work[below[0]] = work[below[0]], work[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = divmod(work[k][k] * work[i][j] - work[i][k] * work[k][j], prev)
+                assert r == 0
+                work[i][j] = q
+        prev = work[k][k]
+    return Fraction(sign * work[-1][-1], scale ** n)
 
 
 def det_r_inverse_gauss_jordan(n: int) -> Fraction:

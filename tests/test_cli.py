@@ -166,6 +166,16 @@ def test_oeis_missing_reference_file_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("oeis_id", ["A000984", "A060739"])
+def test_oeis_non_overlapping_reference_exits_2(tmp_path, oeis_id):
+    far = tmp_path / "far.txt"
+    far.write_text("100 1\n101 2\n")
+    res = run_cli("oeis", "--id", oeis_id, "--n", "5", "--bfile", str(far))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "recpascal: cannot cross-check: index ranges do not overlap\n"
+
+
 def test_oeis_det_sequence_magnitude_default(tmp_path):
     # reference with all-positive magnitudes: passes unsigned, fails signed
     ref = tmp_path / "a060739.txt"

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from recpascal import (
     ExactnessError,
     binomial,
-    central_binomial,
     exact_div,
+    g_matrix,
     super_catalan,
 )
 
@@ -56,30 +56,32 @@ def test_binomial_matches_math_comb(n, k):
     assert binomial(n, k) == expected
 
 
+# The central binomials C(2m, m) come from g_matrix, the production route.
+
 def test_central_binomial_pinned_values():
-    assert central_binomial(0) == 1
-    assert central_binomial(2) == 6
-    assert central_binomial(5) == 252
+    c = g_matrix(6).diag
+    assert (c[0], c[2], c[5]) == (1, 6, 252)
 
 
 def test_central_binomial_is_binomial_2m_m():
+    c = g_matrix(65).diag
     for m in range(65):
-        assert central_binomial(m) == binomial_factorial(2 * m, m)
+        assert c[m] == binomial_factorial(2 * m, m)
 
 
 def test_central_binomial_even_for_positive_m():
-    for m in range(1, 65):
-        assert central_binomial(m) % 2 == 0
+    assert all(c % 2 == 0 for c in g_matrix(65).diag[1:])
 
 
-@given(st.integers(1, 500))
-def test_central_binomial_even_property(m):
-    assert central_binomial(m) % 2 == 0
+@given(st.integers(1, 501))
+def test_central_binomial_even_property(n):
+    assert all(c % 2 == 0 for c in g_matrix(n).diag[1:])
 
 
 def test_central_binomial_rejects_negative():
+    # C(2m, m) at m = -1 is an error, not an out-of-range zero
     with pytest.raises(ValueError):
-        central_binomial(-1)
+        binomial(-2, -1)
 
 
 def test_super_catalan_pinned_values():
@@ -103,10 +105,11 @@ def test_super_catalan_symmetry():
 
 def test_super_catalan_central_binomial_quotient():
     # S(m,n) * C(m+n, m) == C(2m,m) * C(2n,n), an exact integer relation
+    c = g_matrix(41).diag
     for m in range(41):
         for n in range(41):
             lhs = super_catalan(m, n) * binomial(m + n, m)
-            assert lhs == central_binomial(m) * central_binomial(n)
+            assert lhs == c[m] * c[n]
 
 
 def test_super_catalan_rejects_negative():

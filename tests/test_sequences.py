@@ -135,15 +135,14 @@ def test_triangle_reading_pinned():
 def test_triangle_reading_rejects_hidden_entries():
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         triangle_rows_sequence(pascal_matrix(3))
-    # with validation off, the reading simply drops them
-    assert triangle_rows_sequence(pascal_matrix(3), triangular=False) == [
-        1, 1, 2, 1, 3, 6,
-    ]
 
 
 def test_antidiagonal_reading_pinned():
-    assert antidiagonal_sequence(from_rows([[1, 1], [1, 2]])) == [1, 1, 1, 2]
-    assert antidiagonal_sequence(pascal_matrix(3)) == [1, 1, 1, 1, 2, 1, 3, 3, 6]
+    assert antidiagonal_sequence(from_rows([[1, 1], [1, 2]])) == [1, 1, 1]
+    assert antidiagonal_sequence(pascal_matrix(3)) == [1, 1, 1, 1, 2, 1]
+    assert antidiagonal_sequence(from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == [
+        1, 2, 4, 3, 5, 7,
+    ]
 
 
 def test_readings_reject_non_square():
