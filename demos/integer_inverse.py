@@ -9,7 +9,6 @@ entry with a checked division is exactly the integrality claim: an odd
 entry would raise instead of rounding.
 """
 from recpascal import (
-    equal,
     identity,
     invert_rational,
     invert_unit_lower_triangular,
@@ -35,26 +34,26 @@ show(r, "R")
 
 rinv = r_inverse_via_factorization(N)
 show(rinv, "R^-1 via the factorization (all integers)")
-assert all(isinstance(x, int) for x in rinv.flat)
+assert all(isinstance(x, int) for row in rinv for x in row)
 
 oracle = invert_rational(r)
-assert equal(rinv, oracle)
+assert rinv == oracle
 print("\nIndependent Gauss-Jordan inversion produces the same matrix.")
 
-assert equal(matmul(r, rinv), identity(N))
-assert equal(matmul(rinv, r), identity(N))
+assert matmul(r, rinv) == identity(N)
+assert matmul(rinv, r) == identity(N)
 print("R * R^-1 and R^-1 * R are exactly the identity.")
 
 print("\nThe inverted triangle that does the work:")
 linv = invert_unit_lower_triangular(l_matrix(N))
 show(linv, "L^-1")
-col = [linv[i, 0] for i in range(N)]
+col = [row[0] for row in linv]
 print("\nIts first column", col, "is 1 followed by even entries;")
 print("in fact it reproduces the alternating diagonal D exactly.")
 
 print("\nThe top-left entry has a closed expression that alternates:")
 for n in range(1, 9):
     value = r_inverse_00(n)
-    assert value == r_inverse_via_factorization(n)[0, 0]
+    assert value == r_inverse_via_factorization(n)[0][0]
     print(f"    n={n}: (R^-1)[0,0] = {value:+d}")
 print("\nInteger inverse demo passed.")

@@ -16,7 +16,6 @@ from .combinatorics import (
 from .matrices import (
     Diagonal,
     d_matrix,
-    equal,
     from_rows,
     g_matrix,
     identity,
@@ -83,7 +82,6 @@ __all__ = [
     "det_inverse_sequence",
     "det_r_inverse_formula",
     "emit_bfile",
-    "equal",
     "exact_div",
     "from_rows",
     "g_matrix",

@@ -30,7 +30,6 @@ from .linalg import BitGrowthMeter, invert_rational, invert_unit_lower_triangula
 from .matrices import (
     Diagonal,
     d_matrix,
-    equal,
     g_matrix,
     l_matrix,
     pascal_matrix,
@@ -271,7 +270,7 @@ def bench(n: int) -> dict:
     meter_fact.observe_array(fact)
     return {
         "n": n,
-        "equal": equal(fact, oracle),
+        "equal": fact == oracle,
         "factorization": {
             "seconds": round(t_fact, 6),
             "max_numerator_bits": meter_fact.max_bits,

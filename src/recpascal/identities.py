@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .combinatorics import ExactnessError, binomial, exact_div, super_catalan
 from .linalg import invert_rational, invert_unit_lower_triangular, leading_minors
 from .matrices import (
     Diagonal,
+    Matrix,
     d_matrix,
     from_rows,
     g_matrix,
@@ -71,11 +70,10 @@ def _first_mismatch(expected, actual):
     """Row-major scan for the first differing entry; None when equal."""
     if expected.shape != actual.shape:
         raise ValueError(f"shape mismatch: {expected.shape} vs {actual.shape}")
-    rows, cols = expected.shape
-    for i in range(rows):
-        for j in range(cols):
-            if expected[i, j] != actual[i, j]:
-                return (i, j, expected[i, j], actual[i, j])
+    for i, (erow, arow) in enumerate(zip(expected, actual)):
+        for j, (e, a) in enumerate(zip(erow, arow)):
+            if e != a:
+                return (i, j, e, a)
     return None
 
 
@@ -153,7 +151,7 @@ def check_l_inverse_column(n: int) -> CheckReport:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
-    col = invert_unit_lower_triangular(l_matrix(n))[:, 0]
+    col = [row[0] for row in invert_unit_lower_triangular(l_matrix(n))]
     d = d_matrix(n).diag
     mismatch = None
     if col[0] != 1:
@@ -169,7 +167,7 @@ def check_l_inverse_column(n: int) -> CheckReport:
     return CheckReport("parity", n, mismatch, time.perf_counter() - start)
 
 
-def _doubled_r_inverse(n: int) -> np.ndarray:
+def _doubled_r_inverse(n: int) -> Matrix:
     """2 R^-1 = G L^-T D' L^-1 G in plain ints, with D' = 2 D^-1 integer."""
     linv = invert_unit_lower_triangular(l_matrix(n))
     d2 = Diagonal(tuple(exact_div(2, d) for d in d_matrix(n).diag))
@@ -177,12 +175,12 @@ def _doubled_r_inverse(n: int) -> np.ndarray:
     return matmul(matmul(g, matmul(matmul(linv.T, d2), linv)), g)
 
 
-def _halve(m: np.ndarray) -> np.ndarray:
+def _halve(m: Matrix) -> Matrix:
     """Entrywise checked halving: an odd entry raises rather than rounds."""
     return from_rows([[exact_div(x, 2) for x in row] for row in m])
 
 
-def r_inverse_via_factorization(n: int) -> np.ndarray:
+def r_inverse_via_factorization(n: int) -> Matrix:
     """Integer inverse of the reciprocal Pascal matrix via its factors.
 
     Sandwiches the doubled reciprocal alternating diagonal between the
@@ -198,7 +196,7 @@ def r_inverse_00(n: int) -> int:
     1 + sum of column0[i]^2 / d[i]; alternates between +1 and -1 with n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    col = invert_unit_lower_triangular(l_matrix(n))[:, 0]
+    col = [row[0] for row in invert_unit_lower_triangular(l_matrix(n))]
     d = d_matrix(n).diag
     total = Fraction(1)
     for i in range(1, n):
@@ -241,7 +239,7 @@ def det_comparison(n: int) -> dict:
     }
 
 
-def _identity_mismatch(r: np.ndarray, rinv: np.ndarray):
+def _identity_mismatch(r: Matrix, rinv: Matrix):
     """First entry where R . rinv differs from the identity, checked in ints.
 
     Row i of R is scaled by the lcm of its denominators, so the product must
@@ -251,9 +249,10 @@ def _identity_mismatch(r: np.ndarray, rinv: np.ndarray):
     scaled = from_rows(
         [[x.numerator * (f // x.denominator) for x in row] for row, f in zip(r, lcms)]
     )
-    for (i, j), x in np.ndenumerate(matmul(scaled, rinv)):
-        if x != (lcms[i] if i == j else 0):
-            return (i, j, int(i == j), Fraction(x, lcms[i]))
+    for i, row in enumerate(matmul(scaled, rinv)):
+        for j, x in enumerate(row):
+            if x != (lcms[i] if i == j else 0):
+                return (i, j, int(i == j), Fraction(x, lcms[i]))
     return None
 
 
@@ -269,10 +268,9 @@ def check_integrality(n: int) -> CheckReport:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
     doubled = _doubled_r_inverse(n)
-    odd = next((ij for ij, x in np.ndenumerate(doubled) if x % 2), None)
-    if odd is not None:
-        mismatch = (*odd, "an integer entry", Fraction(doubled[odd], 2))
-    else:
+    mismatch = next(((i, j, "an integer entry", Fraction(x, 2))
+                     for i, row in enumerate(doubled) for j, x in enumerate(row) if x % 2), None)
+    if mismatch is None:
         rinv = _halve(doubled)
         r = reciprocal_pascal(n)
         mismatch = _first_mismatch(invert_rational(r), rinv)
@@ -280,6 +278,6 @@ def check_integrality(n: int) -> CheckReport:
             mismatch = _identity_mismatch(r, rinv)
         if mismatch is None:
             closed = r_inverse_00(n)
-            if rinv[0, 0] != closed:
-                mismatch = (0, 0, closed, rinv[0, 0])
+            if rinv[0][0] != closed:
+                mismatch = (0, 0, closed, rinv[0][0])
     return CheckReport("integrality", n, mismatch, time.perf_counter() - start)

@@ -11,10 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .combinatorics import exact_div
-from .matrices import from_rows
+from .matrices import Matrix, from_rows
 
 
 class BitGrowthMeter:
@@ -28,34 +26,29 @@ class BitGrowthMeter:
         if bits > self.max_bits:
             self.max_bits = bits
 
-    def observe_array(self, arr) -> None:
-        for x in arr.flat:
-            self.observe(x)
+    def observe_array(self, m: Matrix) -> None:
+        for row in m:
+            for x in row:
+                self.observe(x)
 
 
-def _require_square(m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def _require_square(m: Matrix) -> None:
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got shape {m.shape}")
 
 
-def _scaled_rows(m: np.ndarray) -> tuple[list, list]:
+def _scaled_rows(m: Matrix) -> tuple[list, list]:
     """Each row as plain ints, scaled by the lcm of its own denominators;
     returns the rows and the per-row scale factors."""
     rows, factors = [], []
-    for i in range(m.shape[0]):
-        row = list(m[i])
-        dens = [x.denominator for x in row if isinstance(x, Fraction)]
-        f = lcm(*dens) if dens else 1
-        if f != 1:
-            row = [int(x * f) for x in row]
-        else:
-            row = [int(x) if isinstance(x, Fraction) else x for x in row]
-        rows.append(row)
+    for row in m:
+        f = lcm(*(x.denominator for x in row))
+        rows.append([int(x * f) for x in row])
         factors.append(f)
     return rows, factors
 
 
-def leading_minors(m: np.ndarray) -> list:
+def leading_minors(m: Matrix) -> list:
     """Determinants of the leading k x k blocks of m, k = 1..n, as Fractions.
 
     One fraction-free (Bareiss) elimination without row swaps yields them
@@ -86,7 +79,7 @@ def leading_minors(m: np.ndarray) -> list:
     return minors
 
 
-def invert_rational(m: np.ndarray, meter: BitGrowthMeter | None = None) -> np.ndarray:
+def invert_rational(m: Matrix, meter: BitGrowthMeter | None = None) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination over the rationals.
 
     The pivot is the first nonzero entry down each column: exact arithmetic
@@ -95,8 +88,8 @@ def invert_rational(m: np.ndarray, meter: BitGrowthMeter | None = None) -> np.nd
     matrix turns out singular.
     """
     _require_square(m)
-    n = m.shape[0]
-    x = [[Fraction(v) for v in m[i]] for i in range(n)]
+    n = len(m)
+    x = [[Fraction(v) for v in row] for row in m]
     y = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot_row = None
@@ -136,7 +129,7 @@ def invert_rational(m: np.ndarray, meter: BitGrowthMeter | None = None) -> np.nd
     return from_rows(y)
 
 
-def invert_unit_lower_triangular(l: np.ndarray) -> np.ndarray:
+def invert_unit_lower_triangular(l: Matrix) -> Matrix:
     """Exact inverse of a unit lower triangular integer matrix.
 
     Forward substitution column by column; the inverse of such a matrix is
@@ -144,20 +137,18 @@ def invert_unit_lower_triangular(l: np.ndarray) -> np.ndarray:
     in plain ints.
     """
     _require_square(l)
-    n = l.shape[0]
-    for i in range(n):
-        for j in range(n):
-            v = l[i, j]
+    n = len(l)
+    for i, row in enumerate(l):
+        for j, v in enumerate(row):
             if not isinstance(v, int):
                 raise ValueError(f"entry ({i}, {j}) = {v!r} is not a plain integer")
             if j > i and v != 0:
                 raise ValueError(f"nonzero entry above the diagonal at ({i}, {j})")
             if j == i and v != 1:
                 raise ValueError(f"diagonal entry ({i}, {i}) = {v}, must be 1")
-    strict = [[l[i, j] for j in range(i)] for i in range(n)]
     out = [[0] * n for _ in range(n)]
     for j in range(n):
         out[j][j] = 1
         for i in range(j + 1, n):
-            out[i][j] = -sum(strict[i][k] * out[k][j] for k in range(j, i))
+            out[i][j] = -sum(l[i][k] * out[k][j] for k in range(j, i))
     return from_rows(out)

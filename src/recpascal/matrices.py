@@ -1,9 +1,9 @@
 """Matrix generators and the small exact matrix algebra the checks need.
 
-Dense matrices are numpy arrays with dtype=object holding Python ints or
-fractions.Fraction values; diagonal matrices get the lightweight Diagonal
-wrapper so products with them stay O(n^2).  Every array returned here is
-frozen (read-only): treat matrices as immutable values.
+Dense matrices are immutable tuples of equal-length row tuples holding
+Python ints or fractions.Fraction values, so entries read as m[i][j] and
+equality is plain ==.  Diagonal matrices get the lightweight Diagonal
+wrapper so products with them stay O(n^2).
 
 Generators fill rows with running-product recurrences, one exact division
 per entry, instead of recomputing each coefficient from scratch.  Tests pin
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from .combinatorics import exact_div
 
@@ -24,20 +23,32 @@ def _require_size(n: int) -> None:
         raise ValueError(f"matrix size must be at least 1, got {n}")
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+class Matrix(tuple):
+    """Dense matrix: a nonempty tuple of equal-length, nonempty row tuples."""
+
+    __slots__ = ()
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), len(self[0])
+
+    @property
+    def T(self) -> Matrix:
+        return Matrix(zip(*self))
+
+    def tolist(self) -> list:
+        return [list(row) for row in self]
 
 
-def from_rows(rows) -> np.ndarray:
-    """Dense object-dtype matrix from nested sequences; entries pass through."""
-    arr = np.array(rows, dtype=object)
-    if arr.ndim != 2:
+def from_rows(rows) -> Matrix:
+    """Dense matrix from nested sequences; entries pass through."""
+    m = Matrix(map(tuple, rows))
+    if not m or not m[0] or any(len(row) != len(m[0]) for row in m):
         raise ValueError("from_rows needs a rectangular two-dimensional layout")
-    return _frozen(arr)
+    return m
 
 
-def identity(n: int) -> np.ndarray:
+def identity(n: int) -> Matrix:
     """Integer identity matrix."""
     _require_size(n)
     return from_rows([[int(i == j) for j in range(n)] for i in range(n)])
@@ -58,14 +69,14 @@ class Diagonal:
     def n(self) -> int:
         return len(self.diag)
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self) -> Matrix:
         n = self.n
         return from_rows(
             [[self.diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
 
-def pascal_matrix(n: int) -> np.ndarray:
+def pascal_matrix(n: int) -> Matrix:
     """Symmetric binomial array: entry (i, j) is C(i+j, i)."""
     _require_size(n)
     rows = []
@@ -77,7 +88,7 @@ def pascal_matrix(n: int) -> np.ndarray:
     return from_rows(rows)
 
 
-def reciprocal_pascal(n: int) -> np.ndarray:
+def reciprocal_pascal(n: int) -> Matrix:
     """Entrywise reciprocal of the symmetric binomial array: (i, j) -> 1/C(i+j, i)."""
     _require_size(n)
     rows = []
@@ -91,7 +102,7 @@ def reciprocal_pascal(n: int) -> np.ndarray:
     return from_rows(rows)
 
 
-def super_catalan_matrix(n: int) -> np.ndarray:
+def super_catalan_matrix(n: int) -> Matrix:
     """Array of super Catalan numbers: entry (m, k) is (2m)!(2k)!/(m! k! (m+k)!)."""
     _require_size(n)
     rows = []
@@ -117,7 +128,7 @@ def g_matrix(n: int) -> Diagonal:
     return Diagonal(tuple(diag))
 
 
-def l_matrix(n: int) -> np.ndarray:
+def l_matrix(n: int) -> Matrix:
     """Unit lower triangular array whose row m holds C(2m, m+k) at column k."""
     _require_size(n)
     rows = []
@@ -146,16 +157,12 @@ def matmul(a, b):
     if isinstance(a, Diagonal):
         if a.n != b.shape[0]:
             raise ValueError(f"dimension mismatch: {a.n} vs {b.shape}")
-        return _frozen(np.array(a.diag, dtype=object)[:, None] * b)
+        return from_rows([d * x for x in row] for d, row in zip(a.diag, b))
     if isinstance(b, Diagonal):
         if a.shape[1] != b.n:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.n}")
-        return _frozen(a * np.array(b.diag, dtype=object)[None, :])
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        return from_rows(map(mul, row, b.diag) for row in a)
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return _frozen(a @ b)
-
-
-def equal(a, b) -> bool:
-    """Exact entrywise equality of two dense matrices."""
-    return a.shape == b.shape and bool((a == b).all())
+    cols = tuple(zip(*b))
+    return from_rows([sum(map(mul, row, col)) for col in cols] for row in a)

@@ -14,7 +14,14 @@ from importlib import resources
 from .combinatorics import ExactnessError, exact_div
 from .identities import CheckReport
 from .linalg import invert_unit_lower_triangular, leading_minors
-from .matrices import g_matrix, l_matrix, pascal_matrix, reciprocal_pascal, super_catalan_matrix
+from .matrices import (
+    from_rows,
+    g_matrix,
+    l_matrix,
+    pascal_matrix,
+    reciprocal_pascal,
+    super_catalan_matrix,
+)
 
 #: ids of the catalogued sequences this package can generate terms for.
 GENERATED_IDS = ("A000984", "A007318", "A094527", "A110162", "A060739")
@@ -86,14 +93,11 @@ def triangle_rows_sequence(m) -> list:
     rows, cols = m.shape
     if rows != cols:
         raise ValueError(f"square matrix required, got shape {m.shape}")
-    for i in range(rows):
+    for i, row in enumerate(m):
         for j in range(i + 1, cols):
-            if m[i, j] != 0:
+            if row[j] != 0:
                 raise ValueError(f"nonzero entry above the diagonal at ({i}, {j})")
-    out = []
-    for i in range(rows):
-        out.extend(m[i, j] for j in range(i + 1))
-    return out
+    return [x for i, row in enumerate(m) for x in row[: i + 1]]
 
 
 def antidiagonal_sequence(m) -> list:
@@ -106,7 +110,7 @@ def antidiagonal_sequence(m) -> list:
     rows, cols = m.shape
     if rows != cols:
         raise ValueError(f"square matrix required, got shape {m.shape}")
-    return [m[i, d - i] for d in range(rows) for i in range(d + 1)]
+    return [m[i][d - i] for d in range(rows) for i in range(d + 1)]
 
 
 def det_inverse_sequence(max_n: int) -> SequenceRecord:
@@ -197,9 +201,10 @@ def super_catalan_candidates(n: int) -> dict:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     s = super_catalan_matrix(n)
-    flat_rows = [s[i, j] for i in range(n) for j in range(n)]
+    flat_rows = [x for row in s for x in row]
     anti = antidiagonal_sequence(s)
-    halved = [exact_div(x, 2) for x in antidiagonal_sequence(s[1:, 1:])]
+    inner = from_rows(row[1:] for row in s[1:])
+    halved = [exact_div(x, 2) for x in antidiagonal_sequence(inner)]
     return {
         "rows": SequenceRecord("A068555", 0, tuple(flat_rows)),
         "antidiagonals": SequenceRecord("A068555", 0, tuple(anti)),

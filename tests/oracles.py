@@ -46,7 +46,7 @@ def det_cofactor(m) -> Fraction:
             return Fraction(1)
         total = Fraction(0)
         for pos, col in enumerate(cols):
-            entry = m[row, col]
+            entry = m[row][col]
             if entry == 0:
                 continue
             rest = cols[:pos] + cols[pos + 1:]
@@ -67,7 +67,7 @@ def det_bareiss(m) -> Fraction:
     """
     n = m.shape[0]
     assert m.shape == (n, n)
-    scale = lcm(*(Fraction(x).denominator for x in m.flat))
+    scale = lcm(*(Fraction(x).denominator for row in m for x in row))
     work = [[int(Fraction(x) * scale) for x in row] for row in m]
     sign, prev = 1, 1
     for k in range(n):

@@ -19,6 +19,14 @@ def run_cli(*args, **kwargs):
     )
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # the package runs on the standard library alone
+    code = "import sys, recpascal.cli; print('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
 def test_gen_reciprocal_csv_pinned_bytes():
     res = run_cli("gen", "--matrix", "reciprocal", "--n", "2", "--format", "csv")
     assert res.returncode == 0

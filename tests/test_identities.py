@@ -18,7 +18,6 @@ from recpascal import (
     d_matrix,
     det_comparison,
     det_r_inverse_formula,
-    equal,
     from_rows,
     g_matrix,
     identity,
@@ -35,10 +34,6 @@ from recpascal import identities
 from recpascal.identities import _first_mismatch
 
 from oracles import det_bareiss, det_cofactor
-
-
-def rows(m):
-    return [list(r) for r in m]
 
 
 def test_check_report_passed_means_no_counterexample():
@@ -79,7 +74,7 @@ def test_grg_pinned_sizes():
 def test_grg_product_literally():
     g = g_matrix(3)
     product = matmul(matmul(g, reciprocal_pascal(3)), g)
-    assert rows(product) == [[1, 2, 6], [2, 2, 4], [6, 4, 6]]
+    assert product.tolist() == [[1, 2, 6], [2, 2, 4], [6, 4, 6]]
 
 
 def test_ldl_pinned_sizes():
@@ -90,7 +85,7 @@ def test_ldl_pinned_sizes():
 def test_ldl_product_literally():
     l = l_matrix(3)
     product = matmul(matmul(l, d_matrix(3)), l.T)
-    assert rows(product) == [[1, 2, 6], [2, 2, 4], [6, 4, 6]]
+    assert product.tolist() == [[1, 2, 6], [2, 2, 4], [6, 4, 6]]
 
 
 def test_von_szily_base_case():
@@ -137,21 +132,21 @@ def test_l_inverse_column_pinned_sizes():
 
 def test_l_inverse_column_matches_full_inverse():
     linv = invert_unit_lower_triangular(l_matrix(8))
-    assert [linv[i, 0] for i in range(8)] == list(d_matrix(8).diag)
+    assert [linv[i][0] for i in range(8)] == list(d_matrix(8).diag)
 
 
 def test_r_inverse_pinned():
-    assert rows(r_inverse_via_factorization(1)) == [[1]]
-    assert rows(r_inverse_via_factorization(2)) == [[-1, 2], [2, -2]]
+    assert r_inverse_via_factorization(1).tolist() == [[1]]
+    assert r_inverse_via_factorization(2).tolist() == [[-1, 2], [2, -2]]
 
 
 def test_r_inverse_matches_oracle_and_is_integer():
     for n in (*range(1, 13), 64):
         rinv = r_inverse_via_factorization(n)
-        assert all(isinstance(x, int) for x in rinv.flat)
+        assert all(isinstance(x, int) for row in rinv for x in row)
         r = reciprocal_pascal(n)
-        assert equal(rinv, invert_rational(r))
-        assert equal(matmul(r, rinv), identity(n))
+        assert rinv == invert_rational(r)
+        assert matmul(r, rinv) == identity(n)
 
 
 def test_r_inverse_00_pinned():
@@ -164,7 +159,7 @@ def test_r_inverse_00_alternates_and_matches_the_matrix():
     for n in range(1, 25):
         closed = r_inverse_00(n)
         assert closed == (-1 if (n - 1) & 1 else 1)
-        assert closed == r_inverse_via_factorization(n)[0, 0]
+        assert closed == r_inverse_via_factorization(n)[0][0]
 
 
 def test_det_formula_pinned():
@@ -225,7 +220,8 @@ def test_integrality_checks_the_identity_in_integers(monkeypatch):
     # the inverse and the Gauss-Jordan oracle agree on the same wrong matrix,
     # so only R . R^-1 = I can catch it; row 1 of R is scaled by lcm 2
     wrong = from_rows([[0, 1], [1, -1]])
-    monkeypatch.setattr(identities, "_doubled_r_inverse", lambda n: wrong * 2)
+    doubled = from_rows([[0, 2], [2, -2]])
+    monkeypatch.setattr(identities, "_doubled_r_inverse", lambda n: doubled)
     monkeypatch.setattr(identities, "invert_rational", lambda r: wrong)
     rep = check_integrality(2)
     assert not rep.passed

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from recpascal import (
     BitGrowthMeter,
-    equal,
     from_rows,
     identity,
     invert_rational,
@@ -18,10 +17,6 @@ from recpascal import (
 )
 
 from oracles import det_bareiss, det_cofactor
-
-
-def rows(m):
-    return [list(r) for r in m]
 
 
 def test_det_pinned_values():
@@ -86,7 +81,8 @@ def test_det_matches_cofactor_on_random_rational_matrices(entries):
 
 def test_leading_minors_match_cofactor_on_every_block():
     m = reciprocal_pascal(12)
-    assert leading_minors(m) == [det_cofactor(m[:k, :k]) for k in range(1, 13)]
+    blocks = [from_rows(row[:k] for row in m[:k]) for k in range(1, 13)]
+    assert leading_minors(m) == [det_cofactor(b) for b in blocks]
 
 
 def test_leading_minors_raise_on_a_zero_minor():
@@ -108,7 +104,8 @@ def test_leading_minors_raise_on_a_zero_minor():
 )
 def test_leading_minors_match_cofactor_on_random_integer_matrices(entries):
     m = from_rows(entries)
-    expected = [det_cofactor(m[:k, :k]) for k in range(1, len(entries) + 1)]
+    blocks = [from_rows(row[:k] for row in m[:k]) for k in range(1, len(entries) + 1)]
+    expected = [det_cofactor(b) for b in blocks]
     if 0 in expected:
         with pytest.raises(ValueError, match=f"size {expected.index(0) + 1} is zero"):
             leading_minors(m)
@@ -117,9 +114,9 @@ def test_leading_minors_match_cofactor_on_random_integer_matrices(entries):
 
 
 def test_invert_pinned_values():
-    assert rows(invert_rational(from_rows([[1]]))) == [[1]]
-    assert rows(invert_rational(reciprocal_pascal(2))) == [[-1, 2], [2, -2]]
-    assert rows(invert_rational(from_rows([[1, 0], [0, 2]]))) == [
+    assert invert_rational(from_rows([[1]])).tolist() == [[1]]
+    assert invert_rational(reciprocal_pascal(2)).tolist() == [[-1, 2], [2, -2]]
+    assert invert_rational(from_rows([[1, 0], [0, 2]])).tolist() == [
         [1, 0],
         [0, Fraction(1, 2)],
     ]
@@ -129,13 +126,13 @@ def test_invert_times_original_is_identity():
     for n in range(1, 17):
         r = reciprocal_pascal(n)
         inv = invert_rational(r)
-        assert equal(matmul(r, inv), identity(n))
-        assert equal(matmul(inv, r), identity(n))
+        assert matmul(r, inv) == identity(n)
+        assert matmul(inv, r) == identity(n)
 
 
 def test_invert_needs_row_swaps():
     m = from_rows([[0, 1], [1, 0]])
-    assert equal(invert_rational(m), m)
+    assert invert_rational(m) == m
 
 
 def test_det_of_inverse_is_reciprocal():
@@ -157,8 +154,8 @@ def test_invert_rejects_non_square():
 
 
 def test_unit_lower_triangular_inverse_pinned():
-    assert rows(invert_unit_lower_triangular(identity(3))) == rows(identity(3))
-    assert rows(invert_unit_lower_triangular(l_matrix(3))) == [
+    assert invert_unit_lower_triangular(identity(3)).tolist() == identity(3).tolist()
+    assert invert_unit_lower_triangular(l_matrix(3)).tolist() == [
         [1, 0, 0],
         [-2, 1, 0],
         [2, -4, 1],
@@ -167,21 +164,21 @@ def test_unit_lower_triangular_inverse_pinned():
 
 def test_unit_lower_triangular_inverse_first_column():
     linv = invert_unit_lower_triangular(l_matrix(4))
-    assert [linv[i, 0] for i in range(4)] == [1, -2, 2, -2]
+    assert [linv[i][0] for i in range(4)] == [1, -2, 2, -2]
 
 
 def test_unit_lower_triangular_inverse_multiplies_back():
     for n in range(1, 33):
         l = l_matrix(n)
         linv = invert_unit_lower_triangular(l)
-        assert equal(matmul(l, linv), identity(n)), n
-        assert all(isinstance(x, int) for x in linv.flat)
+        assert matmul(l, linv) == identity(n), n
+        assert all(isinstance(x, int) for row in linv for x in row)
 
 
 def test_unit_lower_triangular_inverse_agrees_with_gauss_jordan():
     for n in (1, 2, 5, 9):
         l = l_matrix(n)
-        assert equal(invert_unit_lower_triangular(l), invert_rational(l))
+        assert invert_unit_lower_triangular(l) == invert_rational(l)
 
 
 def test_unit_lower_triangular_validation():

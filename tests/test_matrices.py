@@ -1,14 +1,14 @@
 """Matrix generators against the scalar kernels, plus the matrix algebra."""
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recpascal import (
     Diagonal,
     binomial,
     d_matrix,
-    equal,
     exact_div,
     from_rows,
     g_matrix,
@@ -25,17 +25,13 @@ GENERATORS = (pascal_matrix, reciprocal_pascal, super_catalan_matrix,
               g_matrix, l_matrix, d_matrix)
 
 
-def rows(m):
-    return [list(r) for r in m]
-
-
 def test_pascal_pinned():
-    assert rows(pascal_matrix(1)) == [[1]]
-    assert rows(pascal_matrix(3)) == [[1, 1, 1], [1, 2, 3], [1, 3, 6]]
+    assert pascal_matrix(1).tolist() == [[1]]
+    assert pascal_matrix(3).tolist() == [[1, 1, 1], [1, 2, 3], [1, 3, 6]]
 
 
 def test_reciprocal_pinned():
-    assert rows(reciprocal_pascal(3)) == [
+    assert reciprocal_pascal(3).tolist() == [
         [1, 1, 1],
         [1, Fraction(1, 2), Fraction(1, 3)],
         [1, Fraction(1, 3), Fraction(1, 6)],
@@ -43,7 +39,7 @@ def test_reciprocal_pinned():
 
 
 def test_super_catalan_matrix_pinned():
-    assert rows(super_catalan_matrix(3)) == [[1, 2, 6], [2, 2, 4], [6, 4, 6]]
+    assert super_catalan_matrix(3).tolist() == [[1, 2, 6], [2, 2, 4], [6, 4, 6]]
 
 
 def test_g_matrix_pinned():
@@ -52,7 +48,7 @@ def test_g_matrix_pinned():
 
 
 def test_l_matrix_pinned():
-    assert rows(l_matrix(3)) == [[1, 0, 0], [2, 1, 0], [6, 4, 1]]
+    assert l_matrix(3).tolist() == [[1, 0, 0], [2, 1, 0], [6, 4, 1]]
 
 
 def test_d_matrix_pinned():
@@ -74,26 +70,26 @@ def test_generators_match_scalar_kernels():
         for i in range(n):
             assert g.diag[i] == binomial(2 * i, i)
             for j in range(n):
-                assert p[i, j] == binomial(i + j, i)
-                assert r[i, j] == Fraction(1, binomial(i + j, i))
-                assert s[i, j] == super_catalan(i, j)
-                assert l[i, j] == (binomial(2 * i, i + j) if j <= i else 0)
+                assert p[i][j] == binomial(i + j, i)
+                assert r[i][j] == Fraction(1, binomial(i + j, i))
+                assert s[i][j] == super_catalan(i, j)
+                assert l[i][j] == (binomial(2 * i, i + j) if j <= i else 0)
 
 
 def test_symmetric_generators_equal_their_transpose():
     for n in range(1, 65):
         for gen in (pascal_matrix, reciprocal_pascal, super_catalan_matrix):
             m = gen(n)
-            assert equal(m, m.T), (gen.__name__, n)
+            assert m == m.T, (gen.__name__, n)
 
 
 def test_l_matrix_unit_lower_triangular():
     for n in range(1, 65):
         l = l_matrix(n)
         for i in range(n):
-            assert l[i, i] == 1
+            assert l[i][i] == 1
             for j in range(i + 1, n):
-                assert l[i, j] == 0
+                assert l[i][j] == 0
 
 
 def test_reciprocal_is_hadamard_inverse_of_pascal():
@@ -102,7 +98,7 @@ def test_reciprocal_is_hadamard_inverse_of_pascal():
         r = reciprocal_pascal(n)
         for i in range(n):
             for j in range(n):
-                assert r[i, j] == Fraction(1, p[i, j])
+                assert r[i][j] == Fraction(1, p[i][j])
 
 
 def test_every_generator_rejects_size_zero():
@@ -115,31 +111,61 @@ def test_every_generator_rejects_size_zero():
 
 def test_generated_matrices_are_frozen():
     m = pascal_matrix(3)
-    assert m.flags.writeable is False
-    with pytest.raises(ValueError):
-        m[0, 0] = 5
+    with pytest.raises(TypeError):
+        m[0][0] = 5
+    with pytest.raises(TypeError):
+        m[0] = (5, 5, 5)
 
 
 def test_matmul_pinned():
     d = Diagonal((1, 2))
     ones = from_rows([[1, 1], [1, 1]])
-    assert rows(matmul(d, ones)) == [[1, 1], [2, 2]]
-    assert rows(matmul(ones, d)) == [[1, 2], [1, 2]]
+    assert matmul(d, ones).tolist() == [[1, 1], [2, 2]]
+    assert matmul(ones, d).tolist() == [[1, 2], [1, 2]]
     m = pascal_matrix(4)
-    assert equal(matmul(identity(4), m), m)
-    assert equal(matmul(m, identity(4)), m)
+    assert matmul(identity(4), m) == m
+    assert matmul(m, identity(4)) == m
 
 
 def test_matmul_matches_dense_diagonal_product():
     g = g_matrix(5)
     m = pascal_matrix(5)
-    assert equal(matmul(g, m), matmul(g.to_dense(), m))
-    assert equal(matmul(m, g), matmul(m, g.to_dense()))
+    assert matmul(g, m) == matmul(g.to_dense(), m)
+    assert matmul(m, g) == matmul(m, g.to_dense())
+
+
+entries = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+)
+
+
+def dense(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(from_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_matmul_rectangular_matches_explicit_sums(rows, inner, cols, data):
+    a = data.draw(dense(rows, inner))
+    b = data.draw(dense(inner, cols))
+    d = Diagonal(data.draw(st.lists(entries, min_size=inner, max_size=inner)))
+    expected = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+                for i in range(rows)]
+    product = matmul(a, b)
+    assert product.shape == (rows, cols)
+    assert product.tolist() == expected
+    assert matmul(d, b) == matmul(d.to_dense(), b)
+    assert matmul(a, d) == matmul(a, d.to_dense())
+    for m in (a, b, product):
+        assert m.T.T == m
+        assert m.T.shape == m.shape[::-1]
 
 
 def test_matmul_mixed_product_promotes_to_fractions():
     out = matmul(reciprocal_pascal(3), pascal_matrix(3))
-    assert any(isinstance(x, Fraction) for x in out.flat)
+    assert any(isinstance(x, Fraction) for row in out for x in row)
 
 
 def test_matmul_shape_mismatch():
@@ -153,14 +179,14 @@ def test_matmul_shape_mismatch():
 
 def test_transpose_pinned():
     m = from_rows([[1, 2], [3, 4]])
-    assert rows(m.T) == [[1, 3], [2, 4]]
+    assert m.T.tolist() == [[1, 3], [2, 4]]
 
 
 def test_equal_compares_shape_and_entries():
-    assert equal(g_matrix(3).to_dense(), from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 6]]))
-    assert not equal(g_matrix(3).to_dense(), from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 7]]))
-    assert not equal(pascal_matrix(2), pascal_matrix(3))
-    assert not equal(pascal_matrix(3), super_catalan_matrix(3))
+    assert g_matrix(3).to_dense() == from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 6]])
+    assert g_matrix(3).to_dense() != from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 7]])
+    assert pascal_matrix(2) != pascal_matrix(3)
+    assert pascal_matrix(3) != super_catalan_matrix(3)
 
 
 def test_diagonal_validation():
@@ -171,3 +197,5 @@ def test_diagonal_validation():
 def test_from_rows_rejects_ragged_input():
     with pytest.raises(ValueError):
         from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        from_rows([])
