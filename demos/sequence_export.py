@@ -6,12 +6,13 @@ triangle, and the determinant-by-size sequence).  A068555 is related to the
 super Catalan array but its exact reading is not pinned down, so the package
 emits candidate readings without asserting any of them.
 """
+from pathlib import Path
+
 from recpascal import (
     GENERATED_IDS,
     crosscheck,
     emit_bfile,
     generated_sequence,
-    load_reference_bfile,
     parse_bfile,
     sign_pattern,
     super_catalan_candidates,
@@ -31,7 +32,8 @@ assert parse_bfile(text, oeis_id=rec.oeis_id) == rec
 print("    -> parses back to an identical record.")
 
 print("\nCross-check against the vendored reference for the central binomials:")
-reference = load_reference_bfile("A000984")
+bfile = Path(__file__).resolve().parent.parent / "tests" / "data" / "b000984.txt"
+reference = parse_bfile(bfile.read_text(), oeis_id="A000984")
 report = crosscheck(reference, generated_sequence("A000984", 21))
 print(f"    compared {report.n} overlapping terms: "
       f"{'match' if report.passed else report.counterexample}")

@@ -3,8 +3,8 @@
 Generators for the symmetric Pascal, reciprocal Pascal, and super Catalan
 arrays; two checked factorizations of the super Catalan array; an
 all-integer inverse of the reciprocal Pascal matrix built from triangular
-and diagonal factors and verified against an independent Gauss-Jordan
-oracle; exact determinant comparisons; and b-file tooling for the related
+and diagonal factors and verified by checking R . R^-1 = I exactly in
+integers; exact determinant comparisons; and b-file tooling for the related
 catalogued integer sequences.
 """
 from .combinatorics import (
@@ -26,7 +26,6 @@ from .matrices import (
     super_catalan_matrix,
 )
 from .linalg import (
-    BitGrowthMeter,
     invert_rational,
     invert_unit_lower_triangular,
     leading_minors,
@@ -52,7 +51,6 @@ from .sequences import (
     det_inverse_sequence,
     emit_bfile,
     generated_sequence,
-    load_reference_bfile,
     parse_bfile,
     sign_pattern,
     super_catalan_candidates,
@@ -62,7 +60,6 @@ from .sequences import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitGrowthMeter",
     "CheckReport",
     "Diagonal",
     "ExactnessError",
@@ -91,7 +88,6 @@ __all__ = [
     "invert_unit_lower_triangular",
     "l_matrix",
     "leading_minors",
-    "load_reference_bfile",
     "matmul",
     "parse_bfile",
     "pascal_matrix",

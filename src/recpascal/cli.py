@@ -26,7 +26,7 @@ from .identities import (
     det_comparison,
     r_inverse_via_factorization,
 )
-from .linalg import BitGrowthMeter, invert_rational, invert_unit_lower_triangular
+from .linalg import invert_rational, invert_unit_lower_triangular
 from .matrices import (
     Diagonal,
     d_matrix,
@@ -248,42 +248,46 @@ def _oeis_text(args: argparse.Namespace) -> tuple[str, int]:
     return json.dumps(obj, indent=2) + "\n", 0 if report.passed else 1
 
 
+def _max_numerator_bits(*matrices) -> int:
+    """Largest numerator bit length among the entries of the given matrices."""
+    return max(x.numerator.bit_length() for m in matrices for row in m for x in row)
+
+
 def bench(n: int) -> dict:
     """Time both inversion routes and record peak numerator bit growth.
 
     The factorization's bits are read off L^-1 and the returned inverse,
-    Gauss-Jordan's off every elimination step.  Gauss-Jordan runs once,
-    metered, so its seconds include the meter's scans.  Equality of the two
-    results is asserted (the CLI exits 1 if it ever fails); timings and bit
-    growth are measured, not asserted.
+    Gauss-Jordan's off its result, and the seconds time each route alone.
+    Equality of the two results is asserted (the CLI exits 1 if it ever
+    fails); timings and bit growth are measured, not asserted.
     """
     r = reciprocal_pascal(n)
     t0 = time.perf_counter()
     fact = r_inverse_via_factorization(n)
     t_fact = time.perf_counter() - t0
-    meter_gj = BitGrowthMeter()
     t0 = time.perf_counter()
-    oracle = invert_rational(r, meter=meter_gj)
+    oracle = invert_rational(r)
     t_oracle = time.perf_counter() - t0
-    meter_fact = BitGrowthMeter()
-    meter_fact.observe_array(invert_unit_lower_triangular(l_matrix(n)))
-    meter_fact.observe_array(fact)
+    linv = invert_unit_lower_triangular(l_matrix(n))
     return {
         "n": n,
         "equal": fact == oracle,
         "factorization": {
             "seconds": round(t_fact, 6),
-            "max_numerator_bits": meter_fact.max_bits,
+            "max_numerator_bits": _max_numerator_bits(linv, fact),
         },
         "gauss_jordan": {
             "seconds": round(t_oracle, 6),
-            "max_numerator_bits": meter_gj.max_bits,
+            "max_numerator_bits": _max_numerator_bits(oracle),
         },
     }
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed invocation; returns the process exit code."""
+    """Execute one parsed invocation; returns the process exit code.
+
+    A failed write raises OSError, which main turns into exit 2.
+    """
     if args.command == "gen":
         text = _render_matrix(_GENERATORS[args.matrix](args.n), args.fmt, args.matrix)
         code = 0
@@ -303,15 +307,9 @@ def run(args: argparse.Namespace) -> int:
         result = bench(args.n)
         text = json.dumps(result, indent=2) + "\n"
         code = 0 if result["equal"] else 1
-    else:
-        raise SystemExit(f"recpascal: unknown command {args.command!r}")
 
     if args.output_path is not None:
-        try:
-            args.output_path.write_text(text)
-        except OSError as exc:
-            print(f"recpascal: cannot write output: {exc}", file=sys.stderr)
-            return 2
+        args.output_path.write_text(text)
     else:
         sys.stdout.write(text)
     return code
@@ -323,4 +321,13 @@ def main(argv=None) -> None:
     # command-line process.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    sys.exit(run(build_parser().parse_args(argv)))
+    args = build_parser().parse_args(argv)
+    # b-file read errors are reported where the file is read, so an OSError
+    # reaching here is a failed write: a full device, a closed pipe, --output.
+    try:
+        code = run(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"recpascal: cannot write output: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)

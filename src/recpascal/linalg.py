@@ -15,23 +15,6 @@ from .combinatorics import exact_div
 from .matrices import Matrix, from_rows
 
 
-class BitGrowthMeter:
-    """Records the largest numerator bit-length among observed values."""
-
-    def __init__(self) -> None:
-        self.max_bits = 0
-
-    def observe(self, value) -> None:
-        bits = value.numerator.bit_length()
-        if bits > self.max_bits:
-            self.max_bits = bits
-
-    def observe_array(self, m: Matrix) -> None:
-        for row in m:
-            for x in row:
-                self.observe(x)
-
-
 def _require_square(m: Matrix) -> None:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got shape {m.shape}")
@@ -79,7 +62,7 @@ def leading_minors(m: Matrix) -> list:
     return minors
 
 
-def invert_rational(m: Matrix, meter: BitGrowthMeter | None = None) -> Matrix:
+def invert_rational(m: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination over the rationals.
 
     The pivot is the first nonzero entry down each column: exact arithmetic
@@ -119,13 +102,6 @@ def invert_rational(m: Matrix, meter: BitGrowthMeter | None = None) -> Matrix:
             for j in range(n):
                 xr[j] -= f * xc[j]
                 yr[j] -= f * yc[j]
-        if meter is not None:
-            for row in x:
-                for v in row:
-                    meter.observe(v)
-            for row in y:
-                for v in row:
-                    meter.observe(v)
     return from_rows(y)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from importlib import resources
 
 from .combinatorics import ExactnessError, exact_div
 from .identities import CheckReport
@@ -75,13 +74,6 @@ def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
     if not terms:
         raise ValueError("no terms found")
     return SequenceRecord(oeis_id, offset, tuple(terms))
-
-
-def load_reference_bfile(oeis_id: str) -> SequenceRecord:
-    """Load a reference b-file shipped with the package (currently A000984)."""
-    name = f"b{oeis_id[1:]}.txt"
-    text = resources.files("recpascal").joinpath("data").joinpath(name).read_text()
-    return parse_bfile(text, oeis_id=oeis_id)
 
 
 def triangle_rows_sequence(m) -> list:

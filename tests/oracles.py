@@ -5,15 +5,20 @@ factorials, determinants from cofactor expansion or a pivoting Bareiss
 elimination of their own, and det(R^-1) from the Gauss-Jordan inverse of R
 rather than from the leading minors of R itself.
 Agreement between a fast route and a slow oracle is the evidence the tests
-are after.
+are after.  A000984_BFILE names a vendored reference b-file, the same
+kind of independent evidence for the sequence side.
 """
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from pathlib import Path
 
 from recpascal import invert_rational, reciprocal_pascal
+
+#: Vendored reference b-file of the central binomials C(2m, m), m = 0..30.
+A000984_BFILE = Path(__file__).parent / "data" / "b000984.txt"
 
 
 def binomial_factorial(n: int, k: int) -> int:

@@ -8,7 +8,6 @@ import json
 import random
 import subprocess
 import sys
-from importlib import resources
 
 from recpascal import (
     check_grg,
@@ -23,7 +22,6 @@ from recpascal import (
     identity,
     invert_rational,
     leading_minors,
-    load_reference_bfile,
     matmul,
     parse_bfile,
     r_inverse_00,
@@ -32,7 +30,7 @@ from recpascal import (
     SequenceRecord,
 )
 
-from oracles import det_cofactor
+from oracles import A000984_BFILE, det_cofactor
 
 _RINV_CACHE = {}
 
@@ -159,7 +157,7 @@ def test_criterion_8_bfile_round_trip_and_vendored_reference():
             ok, detail = False, f"round-trip failure on record {i}"
             break
     if ok:
-        reference = load_reference_bfile("A000984")
+        reference = parse_bfile(A000984_BFILE.read_text(), oeis_id="A000984")
         rep = crosscheck(reference, generated_sequence("A000984", 21))
         if not (rep.passed and rep.n >= 21):
             ok, detail = False, "vendored A000984 crosscheck failed"

@@ -1,15 +1,18 @@
-"""End-to-end CLI tests through a real subprocess."""
+"""End-to-end CLI tests, through a real subprocess unless noted."""
+import io
 import json
+import os
 import subprocess
 import sys
-from importlib import resources
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import unlimited_int_digits
+from recpascal import GENERATED_IDS, cli
 
-VENDORED_BFILE = str(resources.files("recpascal").joinpath("data").joinpath("b000984.txt"))
+from oracles import A000984_BFILE, unlimited_int_digits
 
 
 def run_cli(*args, **kwargs):
@@ -144,7 +147,7 @@ def test_oeis_emit_without_reference():
 
 
 def test_oeis_crosscheck_vendored_reference():
-    res = run_cli("oeis", "--id", "A000984", "--n", "21", "--bfile", VENDORED_BFILE)
+    res = run_cli("oeis", "--id", "A000984", "--n", "21", "--bfile", str(A000984_BFILE))
     assert res.returncode == 0
     obj = json.loads(res.stdout)
     assert obj["report"]["passed"] is True
@@ -254,6 +257,52 @@ def test_output_to_unwritable_path_exits_2(tmp_path):
     assert res.stdout == ""
     assert res.stderr.startswith("recpascal: cannot write")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", ["gen", "check"])
+def test_output_to_a_full_device_exits_2(command):
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "recpascal", command, "--n", "3"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert res.returncode == 2
+    assert res.stderr.startswith("recpascal: cannot write")
+    assert "Traceback" not in res.stderr
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_exit_code_contract_in_process(tmp_path, data):
+    # 0 ok, 1 a check failed, 2 usage or input error; any other exception
+    # escaping main is the in-process form of a traceback
+    command = data.draw(st.sampled_from(("gen", "invert", "det", "check", "oeis", "bench")))
+    argv = [command, "--n", str(data.draw(st.integers(1, 4))),
+            "--format", data.draw(st.sampled_from(cli._FORMATS))]
+    if command == "gen":
+        argv += ["--matrix", data.draw(st.sampled_from(tuple(cli._GENERATORS)))]
+    elif command == "check":
+        argv += ["--checks", data.draw(st.sampled_from(tuple(cli._CHECKS) + ("all",)))]
+    elif command == "oeis":
+        argv += ["--id", data.draw(st.sampled_from(GENERATED_IDS + ("A068555",)))]
+        kind = data.draw(st.sampled_from(("missing", "directory", "garbage")))
+        if kind == "missing":
+            bfile = tmp_path / "missing.txt"
+        elif kind == "directory":
+            bfile = tmp_path
+        else:
+            bfile = tmp_path / "garbage.txt"
+            bfile.write_bytes(data.draw(st.binary(max_size=64)))
+        argv += ["--bfile", str(bfile)] + ["--signed"] * data.draw(st.booleans())
+    out, err = io.StringIO(), io.StringIO()
+    # main lifts the int <-> str digit limit; the context restores it
+    with unlimited_int_digits(), redirect_stdout(out), redirect_stderr(err), \
+            pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_console_script_entry_point():

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recpascal import (
     CheckReport,
@@ -217,12 +218,27 @@ def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
 
 
 def test_integrality_checks_the_identity_in_integers(monkeypatch):
-    # the inverse and the Gauss-Jordan oracle agree on the same wrong matrix,
-    # so only R . R^-1 = I can catch it; row 1 of R is scaled by lcm 2
-    wrong = from_rows([[0, 1], [1, -1]])
+    # the wrong inverse [[0, 1], [1, -1]] is all-integer, so only R . R^-1 = I
+    # can catch it; row 1 of R is scaled by lcm 2
     doubled = from_rows([[0, 2], [2, -2]])
     monkeypatch.setattr(identities, "_doubled_r_inverse", lambda n: doubled)
-    monkeypatch.setattr(identities, "invert_rational", lambda r: wrong)
     rep = check_integrality(2)
     assert not rep.passed
     assert rep.counterexample == (1, 0, 0, Fraction(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integrality_catches_a_one_entry_error(data):
+    # row 0 of R is all ones, so adding 1 to entry (i, j) of the inverse
+    # first shows in R . R^-1 at (0, j), wherever i is
+    n = data.draw(st.integers(2, 12), label="n")
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(0, n - 1), label="j")
+    doubled = identities._doubled_r_inverse(n).tolist()
+    doubled[i][j] += 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "_doubled_r_inverse", lambda n: from_rows(doubled))
+        rep = check_integrality(n)
+    assert not rep.passed
+    assert rep.counterexample[:2] == (0, j)

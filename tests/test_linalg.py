@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recpascal import (
-    BitGrowthMeter,
     from_rows,
     identity,
     invert_rational,
@@ -190,21 +189,3 @@ def test_unit_lower_triangular_validation():
         invert_unit_lower_triangular(from_rows([[1, 0], [Fraction(1, 2), 1]]))
     with pytest.raises(ValueError):
         invert_unit_lower_triangular(from_rows([[1, 0, 0], [1, 1, 0]]))
-
-
-def test_bit_growth_meter():
-    meter = BitGrowthMeter()
-    meter.observe(1)
-    assert meter.max_bits == 1
-    meter.observe(Fraction(255, 7))
-    assert meter.max_bits == 8
-    meter.observe(-1024)
-    assert meter.max_bits == 11
-    meter.observe_array(from_rows([[7, 0], [3, 1]]))
-    assert meter.max_bits == 11
-
-
-def test_meter_reports_growth_during_elimination():
-    meter = BitGrowthMeter()
-    invert_rational(reciprocal_pascal(8), meter=meter)
-    assert meter.max_bits > 8

@@ -19,7 +19,6 @@ from recpascal import (
     identity,
     invert_unit_lower_triangular,
     l_matrix,
-    load_reference_bfile,
     parse_bfile,
     pascal_matrix,
     sign_pattern,
@@ -28,7 +27,7 @@ from recpascal import (
     triangle_rows_sequence,
 )
 
-from oracles import det_r_inverse_gauss_jordan, unlimited_int_digits
+from oracles import A000984_BFILE, det_r_inverse_gauss_jordan, unlimited_int_digits
 
 
 def test_record_coerces_terms_to_tuple():
@@ -244,7 +243,7 @@ def test_generated_rejects_unknown_and_unasserted_ids():
 
 
 def test_vendored_reference_crosscheck():
-    reference = load_reference_bfile("A000984")
+    reference = parse_bfile(A000984_BFILE.read_text(), oeis_id="A000984")
     assert reference.offset == 0
     assert len(reference.terms) >= 21
     generated = generated_sequence("A000984", 21)
@@ -253,7 +252,7 @@ def test_vendored_reference_crosscheck():
 
 
 def test_vendored_reference_pinned_tail():
-    reference = load_reference_bfile("A000984")
+    reference = parse_bfile(A000984_BFILE.read_text(), oeis_id="A000984")
     assert reference.terms[20] == 137846528820
 
 
