@@ -2,7 +2,7 @@
 
 R is built from nothing but reciprocals 1/C(i+j, i), yet its inverse has
 plain integer entries.  The factorization route makes that visible: invert
-the unit triangle (stays integer), and replace the only fractional factor,
+the unit triangle by its closed form (stays integer), and replace the only fractional factor,
 D^-1 = diag(1, -1/2, 1/2, ...), by the integer diagonal D' = 2 D^-1.  The
 product G L^-T D' L^-1 G is then 2 R^-1 in plain integers, and halving each
 entry with a checked division is exactly the integrality claim: an odd
@@ -11,8 +11,7 @@ entry would raise instead of rounding.
 from recpascal import (
     identity,
     invert_rational,
-    invert_unit_lower_triangular,
-    l_matrix,
+    l_inverse_matrix,
     matmul,
     r_inverse_00,
     r_inverse_via_factorization,
@@ -45,7 +44,7 @@ assert matmul(rinv, r) == identity(N)
 print("R * R^-1 and R^-1 * R are exactly the identity.")
 
 print("\nThe inverted triangle that does the work:")
-linv = invert_unit_lower_triangular(l_matrix(N))
+linv = l_inverse_matrix(N)
 show(linv, "L^-1")
 col = [row[0] for row in linv]
 print("\nIts first column", col, "is 1 followed by even entries;")

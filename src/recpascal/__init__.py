@@ -19,6 +19,7 @@ from .matrices import (
     from_rows,
     g_matrix,
     identity,
+    l_inverse_matrix,
     l_matrix,
     matmul,
     pascal_matrix,
@@ -27,7 +28,6 @@ from .matrices import (
 )
 from .linalg import (
     invert_rational,
-    invert_unit_lower_triangular,
     leading_minors,
 )
 from .identities import (
@@ -85,7 +85,7 @@ __all__ = [
     "generated_sequence",
     "identity",
     "invert_rational",
-    "invert_unit_lower_triangular",
+    "l_inverse_matrix",
     "l_matrix",
     "leading_minors",
     "matmul",

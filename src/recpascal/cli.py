@@ -26,11 +26,12 @@ from .identities import (
     det_comparison,
     r_inverse_via_factorization,
 )
-from .linalg import invert_rational, invert_unit_lower_triangular
+from .linalg import invert_rational
 from .matrices import (
     Diagonal,
     d_matrix,
     g_matrix,
+    l_inverse_matrix,
     l_matrix,
     pascal_matrix,
     reciprocal_pascal,
@@ -54,7 +55,7 @@ _GENERATORS = {
     "reciprocal": reciprocal_pascal,
     "supercatalan": super_catalan_matrix,
     "L": l_matrix,
-    "Linv": lambda n: invert_unit_lower_triangular(l_matrix(n)),
+    "Linv": l_inverse_matrix,
     "G": g_matrix,
     "D": d_matrix,
     "Rinv": r_inverse_via_factorization,
@@ -268,7 +269,7 @@ def bench(n: int) -> dict:
     t0 = time.perf_counter()
     oracle = invert_rational(r)
     t_oracle = time.perf_counter() - t0
-    linv = invert_unit_lower_triangular(l_matrix(n))
+    linv = l_inverse_matrix(n)
     return {
         "n": n,
         "equal": fact == oracle,

@@ -19,14 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .combinatorics import ExactnessError, binomial, exact_div, super_catalan
-from .linalg import invert_unit_lower_triangular, leading_minors
+from .combinatorics import binomial, exact_div, super_catalan
+from .linalg import leading_minors
 from .matrices import (
     Diagonal,
     Matrix,
     d_matrix,
     from_rows,
     g_matrix,
+    identity,
+    l_inverse_matrix,
     l_matrix,
     matmul,
     reciprocal_pascal,
@@ -147,16 +149,17 @@ def check_von_szily_upto(n: int) -> CheckReport:
 
 def check_l_inverse_column(n: int) -> CheckReport:
     """First column of the triangle's inverse: a leading 1, even entries below
-    it, and entrywise agreement with the alternating diagonal."""
+    it, and entrywise agreement with the alternating diagonal.  L . L^-1 = I
+    is checked exactly first (it pins the leading 1 at (0, 0)), so the column
+    read is the true inverse's, not only the closed form's."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
-    col = [row[0] for row in invert_unit_lower_triangular(l_matrix(n))]
+    linv = l_inverse_matrix(n)
+    col = [row[0] for row in linv]
     d = d_matrix(n).diag
-    mismatch = None
-    if col[0] != 1:
-        mismatch = (0, 0, 1, col[0])
-    else:
+    mismatch = _first_mismatch(identity(n), matmul(l_matrix(n), linv))
+    if mismatch is None:
         for i in range(1, n):
             if col[i] % 2 != 0:
                 mismatch = (i, 0, "an even value", col[i])
@@ -169,7 +172,7 @@ def check_l_inverse_column(n: int) -> CheckReport:
 
 def _doubled_r_inverse(n: int) -> Matrix:
     """2 R^-1 = G L^-T D' L^-1 G in plain ints, with D' = 2 D^-1 integer."""
-    linv = invert_unit_lower_triangular(l_matrix(n))
+    linv = l_inverse_matrix(n)
     d2 = Diagonal(tuple(exact_div(2, d) for d in d_matrix(n).diag))
     g = g_matrix(n)
     return matmul(matmul(g, matmul(matmul(linv.T, d2), linv)), g)
@@ -196,14 +199,8 @@ def r_inverse_00(n: int) -> int:
     1 + sum of column0[i]^2 / d[i]; alternates between +1 and -1 with n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    col = [row[0] for row in invert_unit_lower_triangular(l_matrix(n))]
-    d = d_matrix(n).diag
-    total = Fraction(1)
-    for i in range(1, n):
-        total += Fraction(col[i] * col[i], d[i])
-    if total.denominator != 1:
-        raise ExactnessError(f"closed expression gave a non-integer: {total}")
-    return int(total)
+    col = [row[0] for row in l_inverse_matrix(n)]
+    return 1 + sum(exact_div(c * c, d) for c, d in zip(col[1:], d_matrix(n).diag[1:]))
 
 
 def det_r_inverse_formula(n: int) -> Fraction:

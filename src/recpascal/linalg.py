@@ -1,10 +1,9 @@
 """Exact linear algebra used as independent oracles.
 
-Leading principal minors by one fraction-free (Bareiss) elimination,
-Gauss-Jordan inversion over the rationals, and forward-substitution
-inversion for unit lower triangular integer matrices.  Nothing here knows
-about the structured factorizations in identities.py; keeping the two
-routes independent is what makes their agreement meaningful.
+Leading principal minors by one fraction-free (Bareiss) elimination and
+Gauss-Jordan inversion over the rationals.  Nothing here knows about the
+structured factorizations in identities.py; keeping the two routes
+independent is what makes their agreement meaningful.
 """
 from __future__ import annotations
 
@@ -104,27 +103,3 @@ def invert_rational(m: Matrix) -> Matrix:
                 yr[j] -= f * yc[j]
     return from_rows(y)
 
-
-def invert_unit_lower_triangular(l: Matrix) -> Matrix:
-    """Exact inverse of a unit lower triangular integer matrix.
-
-    Forward substitution column by column; the inverse of such a matrix is
-    again unit lower triangular with integer entries, so everything stays
-    in plain ints.
-    """
-    _require_square(l)
-    n = len(l)
-    for i, row in enumerate(l):
-        for j, v in enumerate(row):
-            if not isinstance(v, int):
-                raise ValueError(f"entry ({i}, {j}) = {v!r} is not a plain integer")
-            if j > i and v != 0:
-                raise ValueError(f"nonzero entry above the diagonal at ({i}, {j})")
-            if j == i and v != 1:
-                raise ValueError(f"diagonal entry ({i}, {i}) = {v}, must be 1")
-    out = [[0] * n for _ in range(n)]
-    for j in range(n):
-        out[j][j] = 1
-        for i in range(j + 1, n):
-            out[i][j] = -sum(l[i][k] * out[k][j] for k in range(j, i))
-    return from_rows(out)

@@ -6,8 +6,9 @@ equality is plain ==.  Diagonal matrices get the lightweight Diagonal
 wrapper so products with them stay O(n^2).
 
 Generators fill rows with running-product recurrences, one exact division
-per entry, instead of recomputing each coefficient from scratch.  Tests pin
-the generated entries to the scalar kernels in combinatorics.
+per entry, instead of recomputing each coefficient from scratch; that
+includes the triangle's inverse, which has a closed form.  Tests pin the
+generated entries to the scalar kernels in combinatorics.
 """
 from __future__ import annotations
 
@@ -141,6 +142,22 @@ def l_matrix(n: int) -> Matrix:
         row[0] = cur
         for k in range(m):
             cur = exact_div(cur * (m - k), m + k + 1)
+            row[k + 1] = cur
+        rows.append(row)
+    return from_rows(rows)
+
+
+def l_inverse_matrix(n: int) -> Matrix:
+    """Inverse of l_matrix(n): row m >= 1 holds (-1)^(m-k) 2m/(m+k) C(m+k, 2k)
+    at column k, the Chebyshev inverse pair to C(2m, m-k)."""
+    _require_size(n)
+    rows = []
+    for m in range(n):
+        row = [0] * n
+        cur = 1 if m == 0 else (-2 if m % 2 else 2)
+        row[0] = cur
+        for k in range(m):
+            cur = exact_div(-cur * (m + k) * (m - k), (2 * k + 1) * (2 * k + 2))
             row[k + 1] = cur
         rows.append(row)
     return from_rows(rows)

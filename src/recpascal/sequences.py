@@ -7,15 +7,17 @@ sequence id, so records track the id alongside the terms.
 """
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 
 from .combinatorics import ExactnessError, exact_div
 from .identities import CheckReport
-from .linalg import invert_unit_lower_triangular, leading_minors
+from .linalg import leading_minors
 from .matrices import (
     from_rows,
     g_matrix,
+    l_inverse_matrix,
     l_matrix,
     pascal_matrix,
     reciprocal_pascal,
@@ -24,6 +26,8 @@ from .matrices import (
 
 #: ids of the catalogued sequences this package can generate terms for.
 GENERATED_IDS = ("A000984", "A007318", "A094527", "A110162", "A060739")
+
+_LINE = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,11 @@ def emit_bfile(rec: SequenceRecord) -> str:
 def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
     """Parse b-file text; '#' comment lines and blank lines are skipped.
 
-    Indices must be consecutive.  Malformed or out-of-order lines raise
-    ValueError naming the offending line number.
+    Both fields are an optional '-' followed by ASCII digits (int() alone
+    would take '+5', '1_0' and non-ASCII digits), and indices must be
+    consecutive.  Malformed or out-of-order lines raise ValueError
+    naming the offending line number; a field past the interpreter's
+    int <-> str digit limit raises the interpreter's own ValueError.
     """
     offset = 0
     prev = None
@@ -58,13 +65,10 @@ def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        fields = stripped.split()
-        if len(fields) != 2:
+        match = _LINE.fullmatch(stripped)
+        if match is None:
             raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
-        try:
-            idx, value = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected 'index value', got {line!r}") from None
+        idx, value = int(match[1]), int(match[2])
         if prev is None:
             offset = idx
         elif idx != prev + 1:
@@ -172,8 +176,7 @@ def generated_sequence(oeis_id: str, n: int) -> SequenceRecord:
     if oeis_id == "A094527":
         return SequenceRecord(oeis_id, 0, tuple(triangle_rows_sequence(l_matrix(n))))
     if oeis_id == "A110162":
-        linv = invert_unit_lower_triangular(l_matrix(n))
-        return SequenceRecord(oeis_id, 0, tuple(triangle_rows_sequence(linv)))
+        return SequenceRecord(oeis_id, 0, tuple(triangle_rows_sequence(l_inverse_matrix(n))))
     if oeis_id == "A060739":
         return det_inverse_sequence(n)
     if oeis_id == "A068555":

@@ -166,10 +166,11 @@ def test_oeis_crosscheck_failure_exits_1(tmp_path):
 
 def test_oeis_malformed_reference_exits_2(tmp_path):
     bad = tmp_path / "bad.txt"
-    bad.write_text("0 1\n5 2\n")
-    res = run_cli("oeis", "--id", "A000984", "--bfile", str(bad))
-    assert res.returncode == 2
-    assert "cannot read b-file" in res.stderr
+    for text in ("0 1\n5 2\n", "0 1_0\n"):
+        bad.write_text(text)
+        res = run_cli("oeis", "--id", "A000984", "--n", "5", "--bfile", str(bad))
+        assert res.returncode == 2
+        assert "recpascal: cannot read b-file" in res.stderr
 
 
 def test_oeis_missing_reference_file_exits_2(tmp_path):

@@ -23,7 +23,7 @@ from recpascal import (
     g_matrix,
     identity,
     invert_rational,
-    invert_unit_lower_triangular,
+    l_inverse_matrix,
     l_matrix,
     matmul,
     r_inverse_00,
@@ -132,8 +132,24 @@ def test_l_inverse_column_pinned_sizes():
 
 
 def test_l_inverse_column_matches_full_inverse():
-    linv = invert_unit_lower_triangular(l_matrix(8))
+    linv = invert_rational(l_matrix(8))
     assert [linv[i][0] for i in range(8)] == list(d_matrix(8).diag)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_l_inverse_column_catches_an_error_off_column_0(data):
+    # column 0 stays right, so only L . X = I sees the wrong entry, and
+    # first at the entry's own location: row i of L is 1 at column i
+    n = data.draw(st.integers(3, 12), label="n")
+    i = data.draw(st.integers(2, n - 1), label="i")
+    j = data.draw(st.integers(1, i - 1), label="j")
+    linv = l_inverse_matrix(n).tolist()
+    linv[i][j] += 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "l_inverse_matrix", lambda n: from_rows(linv))
+        rep = check_l_inverse_column(n)
+    assert rep.counterexample == (i, j, 0, 2)
 
 
 def test_r_inverse_pinned():

@@ -8,8 +8,6 @@ from recpascal import (
     from_rows,
     identity,
     invert_rational,
-    invert_unit_lower_triangular,
-    l_matrix,
     leading_minors,
     matmul,
     reciprocal_pascal,
@@ -151,41 +149,3 @@ def test_invert_rejects_non_square():
     with pytest.raises(ValueError):
         invert_rational(from_rows([[1, 2]]))
 
-
-def test_unit_lower_triangular_inverse_pinned():
-    assert invert_unit_lower_triangular(identity(3)).tolist() == identity(3).tolist()
-    assert invert_unit_lower_triangular(l_matrix(3)).tolist() == [
-        [1, 0, 0],
-        [-2, 1, 0],
-        [2, -4, 1],
-    ]
-
-
-def test_unit_lower_triangular_inverse_first_column():
-    linv = invert_unit_lower_triangular(l_matrix(4))
-    assert [linv[i][0] for i in range(4)] == [1, -2, 2, -2]
-
-
-def test_unit_lower_triangular_inverse_multiplies_back():
-    for n in range(1, 33):
-        l = l_matrix(n)
-        linv = invert_unit_lower_triangular(l)
-        assert matmul(l, linv) == identity(n), n
-        assert all(isinstance(x, int) for row in linv for x in row)
-
-
-def test_unit_lower_triangular_inverse_agrees_with_gauss_jordan():
-    for n in (1, 2, 5, 9):
-        l = l_matrix(n)
-        assert invert_unit_lower_triangular(l) == invert_rational(l)
-
-
-def test_unit_lower_triangular_validation():
-    with pytest.raises(ValueError, match="above the diagonal"):
-        invert_unit_lower_triangular(from_rows([[1, 5], [0, 1]]))
-    with pytest.raises(ValueError, match="must be 1"):
-        invert_unit_lower_triangular(from_rows([[2, 0], [1, 1]]))
-    with pytest.raises(ValueError, match="not a plain integer"):
-        invert_unit_lower_triangular(from_rows([[1, 0], [Fraction(1, 2), 1]]))
-    with pytest.raises(ValueError):
-        invert_unit_lower_triangular(from_rows([[1, 0, 0], [1, 1, 0]]))

@@ -13,6 +13,8 @@ from recpascal import (
     from_rows,
     g_matrix,
     identity,
+    invert_rational,
+    l_inverse_matrix,
     l_matrix,
     matmul,
     pascal_matrix,
@@ -21,8 +23,10 @@ from recpascal import (
     super_catalan_matrix,
 )
 
+from oracles import binomial_factorial
+
 GENERATORS = (pascal_matrix, reciprocal_pascal, super_catalan_matrix,
-              g_matrix, l_matrix, d_matrix)
+              g_matrix, l_matrix, l_inverse_matrix, d_matrix)
 
 
 def test_pascal_pinned():
@@ -49,6 +53,42 @@ def test_g_matrix_pinned():
 
 def test_l_matrix_pinned():
     assert l_matrix(3).tolist() == [[1, 0, 0], [2, 1, 0], [6, 4, 1]]
+
+
+def test_l_inverse_pinned():
+    assert l_inverse_matrix(1).tolist() == [[1]]
+    assert l_inverse_matrix(3).tolist() == [[1, 0, 0], [-2, 1, 0], [2, -4, 1]]
+
+
+def test_l_inverse_first_column():
+    assert [row[0] for row in l_inverse_matrix(4)] == [1, -2, 2, -2]
+
+
+def test_l_inverse_multiplies_back_in_plain_ints():
+    for n in range(1, 65):
+        linv = l_inverse_matrix(n)
+        assert matmul(l_matrix(n), linv) == identity(n), n
+        assert all(isinstance(x, int) for row in linv for x in row)
+
+
+def test_l_inverse_agrees_with_gauss_jordan():
+    for n in (1, 2, 5, 9, 16):
+        assert l_inverse_matrix(n) == invert_rational(l_matrix(n))
+
+
+def test_l_inverse_matches_its_closed_form():
+    # (-1)^(m-k) 2m/(m+k) C(m+k, 2k) below the diagonal, binomials from
+    # factorials, against the generator's running-product recurrence
+    for n in range(1, 49):
+        linv = l_inverse_matrix(n)
+        for m in range(n):
+            for k in range(n):
+                if m == 0 or k > m:
+                    expected = int(m == k)
+                else:
+                    expected = ((-1) ** (m - k) * Fraction(2 * m, m + k)
+                                * binomial_factorial(m + k, 2 * k))
+                assert linv[m][k] == expected, (n, m, k)
 
 
 def test_d_matrix_pinned():

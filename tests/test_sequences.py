@@ -17,7 +17,7 @@ from recpascal import (
     from_rows,
     generated_sequence,
     identity,
-    invert_unit_lower_triangular,
+    l_inverse_matrix,
     l_matrix,
     parse_bfile,
     pascal_matrix,
@@ -67,6 +67,10 @@ def test_parse_rejects_malformed_line():
         parse_bfile("0 1\n1 two\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_bfile("0 1 extra\n")
+    # int() alone takes an underscore, a '+' sign and any Unicode digit
+    for text in ("0 1_0\n", "+0 +5\n", "0 \u0663\n"):
+        with pytest.raises(ValueError, match="line 1: expected 'index value'"):
+            parse_bfile(text)
 
 
 def test_parse_rejects_index_gap():
@@ -127,8 +131,7 @@ def test_round_trip_property_past_the_digit_limit(offset, small, huge):
 def test_triangle_reading_pinned():
     assert triangle_rows_sequence(identity(2)) == [1, 0, 1]
     assert triangle_rows_sequence(l_matrix(3)) == [1, 2, 1, 6, 4, 1]
-    linv = invert_unit_lower_triangular(l_matrix(3))
-    assert triangle_rows_sequence(linv) == [1, -2, 1, 2, -4, 1]
+    assert triangle_rows_sequence(l_inverse_matrix(3)) == [1, -2, 1, 2, -4, 1]
 
 
 def test_triangle_reading_rejects_hidden_entries():
