@@ -1,9 +1,10 @@
 """Race the two inversion routes and watch coefficient growth.
 
 The factorization route works in plain integers, with one checked halving
-per entry at the end; Gauss-Jordan drags full rationals through every
-elimination step.  Both are exact, and their outputs are
-asserted equal before any timing is reported.
+per entry at the end.  Gauss-Jordan eliminates on integer rows, dividing
+each by the gcd of its entries after every step, and forms rationals only
+when it reads the inverse off the diagonal.  Both are exact, and their
+outputs are asserted equal before any timing is reported.
 """
 from recpascal.cli import bench
 

@@ -1,14 +1,17 @@
 """Exact linear algebra used as independent oracles.
 
-Leading principal minors by one fraction-free (Bareiss) elimination and
-Gauss-Jordan inversion over the rationals.  Nothing here knows about the
-structured factorizations in identities.py; keeping the two routes
-independent is what makes their agreement meaningful.
+Leading principal minors by one fraction-free (Bareiss) elimination, and
+Gauss-Jordan inversion on integer rows kept primitive (each divided by the
+gcd of its entries, a division exact by definition of the gcd), with the
+rational inverse read off the diagonal at the end.  Both start from the
+rows scaled to integers by the lcm of their denominators.  Nothing here
+knows about the structured factorizations in identities.py; keeping the two
+routes independent is what makes their agreement meaningful.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .combinatorics import exact_div
 from .matrices import Matrix, from_rows
@@ -61,8 +64,25 @@ def leading_minors(m: Matrix) -> list:
     return minors
 
 
+def _primitive(row: list) -> list:
+    """row divided by the gcd of its entries; row must not be all zero.
+
+    The gcd divides every entry by definition, so each exact_div is exact.
+    """
+    g = gcd(*row)
+    return row if g == 1 else [exact_div(v, g) for v in row]
+
+
 def invert_rational(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination over the rationals.
+    """Exact inverse by Gauss-Jordan elimination on primitive integer rows.
+
+    Each row of m is scaled by the lcm of its denominators, F m, and
+    augmented with the identity.  Eliminating column c from row r replaces
+    it with p * row_r - row_r[c] * pivot_row, p the pivot, and then divides
+    the row by the gcd of its entries.  Scaling a row by a nonzero constant
+    is a legal Gauss-Jordan step, so the rows stay integer with nothing
+    rounded, and dividing out the gcd keeps their entries short.  The left half ends diagonal, D = E F m for the accumulated
+    right half E, so the inverse is read off as m^-1 = (F m)^-1 F = D^-1 E F.
 
     The pivot is the first nonzero entry down each column: exact arithmetic
     needs no choice by magnitude, and first-nonzero keeps the elimination
@@ -70,36 +90,20 @@ def invert_rational(m: Matrix) -> Matrix:
     matrix turns out singular.
     """
     _require_square(m)
-    n = len(m)
-    x = [[Fraction(v) for v in row] for row in m]
-    y = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows, factors = _scaled_rows(m)
+    n = len(rows)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if x[r][col] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot_row is None:
             raise ValueError(f"singular matrix: elimination stalled at rank {col} of {n}")
-        if pivot_row != col:
-            x[col], x[pivot_row] = x[pivot_row], x[col]
-            y[col], y[pivot_row] = y[pivot_row], y[col]
-        p = x[col][col]
-        if p != 1:
-            x[col] = [v / p for v in x[col]]
-            y[col] = [v / p for v in y[col]]
-        xc = x[col]
-        yc = y[col]
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col]
+        p = pivot[col]
         for r in range(n):
-            if r == col:
-                continue
-            f = x[r][col]
-            if f == 0:
-                continue
-            xr = x[r]
-            yr = y[r]
-            for j in range(n):
-                xr[j] -= f * xc[j]
-                yr[j] -= f * yc[j]
-    return from_rows(y)
-
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = _primitive([p * a - f * b for a, b in zip(aug[r], pivot)])
+    return from_rows(
+        [Fraction(aug[i][n + j] * factors[j], aug[i][i]) for j in range(n)] for i in range(n)
+    )

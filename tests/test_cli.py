@@ -116,6 +116,17 @@ def test_det_pretty_mentions_both_values():
     assert "-2" in res.stdout and "magnitude match: True" in res.stdout
 
 
+def test_det_past_the_digit_limit():
+    # det(R_90^-1) has more digits than the interpreter's default 4300-digit
+    # int <-> str limit; the CLI must still print it
+    res = run_cli("det", "--n", "90")
+    assert res.returncode == 0, res.stderr
+    assert "magnitude match: True\n" in res.stdout
+    oracle = next(line for line in res.stdout.splitlines() if line.startswith("oracle:"))
+    digits = oracle.split()[1].lstrip("-")
+    assert digits.isdigit() and len(digits) > 4300
+
+
 def test_check_all_passes():
     res = run_cli("check", "--checks", "all", "--n", "8")
     assert res.returncode == 0

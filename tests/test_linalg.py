@@ -132,6 +132,45 @@ def test_invert_needs_row_swaps():
     assert invert_rational(m) == m
 
 
+def test_invert_swaps_rows_after_column_0():
+    # column 0 pivots in place; eliminating it zeroes (1, 1), so column 1
+    # swaps rows 1 and 2.  The rows scale by 1, 3 and 2 to become integers.
+    m = from_rows([[2, 2, 0], [1, 1, Fraction(1, 3)], [0, Fraction(1, 2), 1]])
+    assert invert_rational(m).tolist() == [
+        [Fraction(-5, 2), 6, -2],
+        [3, -6, 2],
+        [Fraction(-3, 2), 3, 0],
+    ]
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(
+                    st.just(Fraction(0)),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                ),
+                min_size=n, max_size=n,
+            ),
+            min_size=n, max_size=n,
+        )
+    )
+)
+def test_invert_on_random_rational_matrices(entries):
+    # many zeros make row swaps, and singular matrices, common
+    m = from_rows(entries)
+    n = len(entries)
+    if det_cofactor(m) == 0:
+        with pytest.raises(ValueError, match="singular matrix"):
+            invert_rational(m)
+        return
+    inv = invert_rational(m)
+    assert all(type(x) is Fraction for row in inv for x in row)
+    assert matmul(m, inv) == identity(n) == matmul(inv, m)
+
+
 def test_det_of_inverse_is_reciprocal():
     for n in range(1, 17):
         r = reciprocal_pascal(n)
