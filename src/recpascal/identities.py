@@ -15,7 +15,7 @@ claimed) raise ExactnessError instead.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -36,19 +36,16 @@ from .matrices import (
 )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "name n counterexample elapsed")):
     """Outcome of one identity check.
 
-    counterexample is None exactly when the check passed; otherwise it is
+    n is an int, or an (m, n) pair for rectangular checks.  counterexample
+    is None exactly when the check passed; otherwise it is
     (i, j, expected, actual) for the first failing location.  Scalar checks
     use location (0, 0); sequence checks put the sequence index in i.
     """
 
-    name: str
-    n: int | tuple[int, int]
-    counterexample: tuple | None
-    elapsed: float
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -5,15 +5,17 @@ Python ints or fractions.Fraction values, so entries read as m[i][j] and
 equality is plain ==.  Diagonal matrices get the lightweight Diagonal
 wrapper so products with them stay O(n^2).
 
-Generators fill rows with running-product recurrences, one exact division
-per entry, instead of recomputing each coefficient from scratch; that
-includes the triangle's inverse, which has a closed form.  Tests pin the
-generated entries to the scalar kernels in combinatorics.
+Generators fill rows by recurrence instead of recomputing each coefficient
+from scratch: the symmetric Pascal array by prefix sums, integer additions
+only, and the others by running products with one exact division per
+entry; that includes the triangle's inverse, which has a closed form.
+Tests pin the generated entries to the scalar kernels in combinatorics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from .combinatorics import exact_div
@@ -55,16 +57,16 @@ def identity(n: int) -> Matrix:
     return from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(namedtuple("Diagonal", "diag")):
     """Square diagonal matrix stored as its diagonal."""
 
-    diag: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "diag", tuple(self.diag))
-        if not self.diag:
+    def __new__(cls, diag):
+        diag = tuple(diag)
+        if not diag:
             raise ValueError("empty diagonal")
+        return super().__new__(cls, diag)
 
     @property
     def n(self) -> int:
@@ -78,14 +80,15 @@ class Diagonal:
 
 
 def pascal_matrix(n: int) -> Matrix:
-    """Symmetric binomial array: entry (i, j) is C(i+j, i)."""
+    """Symmetric binomial array: entry (i, j) is C(i+j, i).
+
+    Row 0 is all ones and every later row holds the prefix sums of the row
+    above, by the hockey-stick identity C(i+j, i) = sum_{k<=j} C(i-1+k, i-1).
+    """
     _require_size(n)
-    rows = []
-    for i in range(n):
-        row = [1]
-        for j in range(n - 1):
-            row.append(exact_div(row[-1] * (i + j + 1), j + 1))
-        rows.append(row)
+    rows = [(1,) * n]
+    for _ in range(n - 1):
+        rows.append(tuple(accumulate(rows[-1])))
     return from_rows(rows)
 
 

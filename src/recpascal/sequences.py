@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinatorics import ExactnessError, exact_div
 from .identities import CheckReport
@@ -30,18 +30,16 @@ GENERATED_IDS = ("A000984", "A007318", "A094527", "A110162", "A060739")
 _LINE = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
+class SequenceRecord(namedtuple("SequenceRecord", "oeis_id offset terms")):
     """A run of consecutive integer sequence terms; offset indexes terms[0]."""
 
-    oeis_id: str
-    offset: int
-    terms: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    def __new__(cls, oeis_id, offset, terms):
+        terms = tuple(terms)
+        if not terms:
             raise ValueError("a sequence record needs at least one term")
+        return super().__new__(cls, oeis_id, offset, terms)
 
 
 def emit_bfile(rec: SequenceRecord) -> str:

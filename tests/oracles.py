@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's fast routes: binomials come from
 factorials, determinants from cofactor expansion or a pivoting Bareiss
-elimination of their own, and det(R^-1) from the Gauss-Jordan inverse of R
-rather than from the leading minors of R itself.
+elimination of their own, det(R^-1) from the Gauss-Jordan inverse of R
+rather than from the leading minors of R itself, and R·X = I from
+row-scaled integer products of their own.
 Agreement between a fast route and a slow oracle is the evidence the tests
 are after.  A000984_BFILE names a vendored reference b-file, the same
 kind of independent evidence for the sequence side.
@@ -89,6 +90,23 @@ def det_bareiss(m) -> Fraction:
                 work[i][j] = q
         prev = work[k][k]
     return Fraction(sign * work[-1][-1], scale ** n)
+
+
+def is_right_inverse(m, x) -> bool:
+    """m·x == I, checked in integers: row i of m is scaled by the lcm of its
+    denominators, so the product must be diag(lcm_i)."""
+    n = m.shape[0]
+    if m.shape != (n, n) or x.shape != (n, n):
+        return False
+    cols = list(zip(*x))
+    for i, row in enumerate(m):
+        row = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in row))
+        scaled = [v.numerator * (scale // v.denominator) for v in row]
+        for j, col in enumerate(cols):
+            if sum(a * b for a, b in zip(scaled, col)) != (scale if i == j else 0):
+                return False
+    return True
 
 
 def det_r_inverse_gauss_jordan(n: int) -> Fraction:

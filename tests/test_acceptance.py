@@ -19,10 +19,8 @@ from recpascal import (
     emit_bfile,
     from_rows,
     generated_sequence,
-    identity,
     invert_rational,
     leading_minors,
-    matmul,
     parse_bfile,
     r_inverse_00,
     r_inverse_via_factorization,
@@ -30,7 +28,7 @@ from recpascal import (
     SequenceRecord,
 )
 
-from oracles import A000984_BFILE, det_cofactor
+from oracles import A000984_BFILE, det_cofactor, is_right_inverse
 
 _RINV_CACHE = {}
 
@@ -60,7 +58,7 @@ def test_criterion_1_factorization_inverse_all_sizes_to_48():
         if inv != invert_rational(r):
             ok, detail = False, f"oracle disagreement at n={n}"
             break
-        if matmul(r, inv) != identity(n):
+        if not is_right_inverse(r, inv):
             ok, detail = False, f"R * Rinv != I at n={n}"
             break
     report("criterion 1: integer inverse equals oracle and R*Rinv=I for n=1..48",

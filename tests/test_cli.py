@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,6 +29,18 @@ def test_cli_import_leaves_numpy_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # every command is its own process and pays for what the import loads;
+    # -S keeps the host's site hooks from loading either module first
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; before = set(sys.modules); import recpascal.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_gen_reciprocal_csv_pinned_bytes():

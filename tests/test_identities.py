@@ -42,6 +42,20 @@ def test_check_report_passed_means_no_counterexample():
     assert CheckReport("x", 1, (0, 0, 1, 2), 0.0).passed is False
 
 
+def test_check_report_is_an_immutable_value():
+    rep = CheckReport("grg", 3, None, 0.5)
+    assert rep == CheckReport("grg", 3, None, 0.5)
+    assert hash(rep) == hash(CheckReport("grg", 3, None, 0.5))
+    for other in (CheckReport("ldl", 3, None, 0.5), CheckReport("grg", 4, None, 0.5),
+                  CheckReport("grg", 3, (0, 0, 1, 2), 0.5),
+                  CheckReport("grg", 3, None, 0.25)):
+        assert rep != other
+    with pytest.raises(AttributeError):
+        rep.counterexample = (0, 0, 1, 2)
+    with pytest.raises(AttributeError):
+        rep.extra = 1
+
+
 def test_check_report_json_field_order():
     rep = CheckReport("grg", 3, None, 0.0015)
     obj = rep.to_json()

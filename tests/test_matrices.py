@@ -116,6 +116,15 @@ def test_generators_match_scalar_kernels():
                 assert l[i][j] == (binomial(2 * i, i + j) if j <= i else 0)
 
 
+def test_pascal_matrix_matches_binomials_at_benchmark_size():
+    # prefix sums reach every entry of the size the sequence benchmark runs
+    n = 400
+    p = pascal_matrix(n)
+    assert p.shape == (n, n)
+    for i, row in enumerate(p):
+        assert row == tuple(binomial(i + j, i) for j in range(n)), i
+
+
 def test_symmetric_generators_equal_their_transpose():
     for n in range(1, 65):
         for gen in (pascal_matrix, reciprocal_pascal, super_catalan_matrix):
@@ -232,6 +241,20 @@ def test_equal_compares_shape_and_entries():
 def test_diagonal_validation():
     with pytest.raises(ValueError):
         Diagonal(())
+    with pytest.raises(ValueError):
+        Diagonal([])
+
+
+def test_diagonal_is_an_immutable_value():
+    d = Diagonal([1, 2])
+    assert d.diag == (1, 2) and type(d.diag) is tuple
+    assert d == Diagonal((1, 2)) and hash(d) == hash(Diagonal((1, 2)))
+    assert d != Diagonal((1, 3))
+    assert d != Diagonal((1, 2, 0))
+    with pytest.raises(AttributeError):
+        d.diag = (5, 6)
+    with pytest.raises(AttributeError):
+        d.extra = 1
 
 
 def test_from_rows_rejects_ragged_input():

@@ -1,6 +1,7 @@
 """b-file round-trips, matrix readings, and catalogued-sequence crosschecks."""
 import random
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,11 +34,28 @@ from oracles import A000984_BFILE, det_r_inverse_gauss_jordan, unlimited_int_dig
 def test_record_coerces_terms_to_tuple():
     rec = SequenceRecord("A000984", 0, [1, 2, 6])
     assert rec.terms == (1, 2, 6)
+    assert type(rec.terms) is tuple
+    assert SequenceRecord("X", 0, iter([4, 5])).terms == (4, 5)
 
 
 def test_record_rejects_empty():
     with pytest.raises(ValueError):
         SequenceRecord("A000984", 0, ())
+    with pytest.raises(ValueError):
+        SequenceRecord("A000984", 0, [])
+
+
+def test_record_is_an_immutable_value():
+    rec = SequenceRecord("X", 1, [1, 2])
+    assert rec == SequenceRecord("X", 1, (1, 2))
+    assert hash(rec) == hash(SequenceRecord("X", 1, (1, 2)))
+    for other in (SequenceRecord("Y", 1, (1, 2)), SequenceRecord("X", 0, (1, 2)),
+                  SequenceRecord("X", 1, (1, 3))):
+        assert rec != other
+    with pytest.raises(AttributeError):
+        rec.terms = (3,)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
 
 
 def test_emit_pinned():
@@ -222,9 +240,9 @@ def test_generated_central_binomials():
 
 def test_generated_pascal_antidiagonals_match_triangle_rows():
     # complete antidiagonals of the square array are exactly the triangle rows
-    rec = generated_sequence("A007318", 8)
-    expected = tuple(binomial(d, i) for d in range(8) for i in range(d + 1))
-    assert rec.terms == expected
+    for n in range(1, 65):
+        expected = tuple(comb(d, i) for d in range(n) for i in range(d + 1))
+        assert generated_sequence("A007318", n).terms == expected, n
 
 
 def test_generated_triangle_sequences():
