@@ -1,8 +1,9 @@
 """Race the two inversion routes and watch coefficient growth.
 
 The factorization route works in plain integers, with one checked halving
-per entry at the end.  Gauss-Jordan eliminates on integer rows, dividing
-each by the gcd of its entries after every step, and forms rationals only
+per entry at the end.  Gauss-Jordan eliminates on integer rows by
+primitive-row steps: the two multipliers are reduced by their gcd, and the
+new row is divided by the gcd of its entries.  It forms rationals only
 when it reads the inverse off the diagonal.  Both are exact, and their
 outputs are asserted equal before any timing is reported.
 """

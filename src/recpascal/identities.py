@@ -109,7 +109,7 @@ def check_von_szily(m: int, n: int) -> CheckReport:
         raise ValueError(f"indices must be nonnegative, got ({m}, {n})")
     start = time.perf_counter()
     expected = super_catalan(m, n)
-    bound = max(m, n)
+    bound = min(m, n)  # C(2m, m+k) C(2n, n-k) vanishes for |k| > min(m, n)
     raw = sum(
         _sign(k) * binomial(2 * m, m + k) * binomial(2 * n, n - k)
         for k in range(-bound, bound + 1)
@@ -215,8 +215,8 @@ def det_r_inverse_formula(n: int) -> Fraction:
 def det_comparison(n: int) -> dict:
     """Closed-form determinant next to the elimination oracle's value.
 
-    The oracle is 1 / det(R), with det(R) from one fraction-free (Bareiss)
-    elimination of the reciprocal Pascal matrix; no inverse is formed.
+    The oracle is 1 / det(R), with det(R) from one primitive-row elimination
+    of the reciprocal Pascal matrix; no inverse is formed.
     Magnitude and sign agreement are reported separately: the magnitudes
     always agree, while the closed form's sign factor disagrees with the
     oracle for odd n.  Both values are kept exact so the discrepancy stays

@@ -1,12 +1,14 @@
 """Exact linear algebra used as independent oracles.
 
-Leading principal minors by one fraction-free (Bareiss) elimination, and
-Gauss-Jordan inversion on integer rows kept primitive (each divided by the
-gcd of its entries, a division exact by definition of the gcd), with the
-rational inverse read off the diagonal at the end.  Both start from the
-rows scaled to integers by the lcm of their denominators.  Nothing here
-knows about the structured factorizations in identities.py; keeping the two
-routes independent is what makes their agreement meaningful.
+Leading principal minors and Gauss-Jordan inversion, both by primitive-row
+elimination: each step subtracts a multiple of the pivot row with the two
+multipliers reduced by their gcd, then divides the row by the gcd of its
+entries, divisions exact by definition of the gcd.  Both start from the
+rows scaled to integers by the lcm of their denominators; the minors are
+read off the pivots and the tracked row scales, the rational inverse off
+the diagonal at the end.  Nothing here knows about the structured
+factorizations in identities.py; keeping the two routes independent is
+what makes their agreement meaningful.
 """
 from __future__ import annotations
 
@@ -33,56 +35,67 @@ def _scaled_rows(m: Matrix) -> tuple[list, list]:
     return rows, factors
 
 
+def _combine(row: list, pivot_row: list, lead: int, p: int) -> tuple[list, int, int]:
+    """Eliminate lead, row's entry in the pivot column, against the pivot p.
+
+    With h = gcd(p, lead), a = p/h and b = lead/h, the new row is
+    a * row - b * pivot_row divided by its content g, the gcd of its
+    entries, unless g is 0 (the row vanished) or 1.  Returns the new row,
+    a and g, so that a caller can track the row's scale.  Each division is
+    exact by definition of the gcd, and checked anyway.
+    """
+    h = gcd(p, lead)
+    a, b = exact_div(p, h), exact_div(lead, h)
+    new = [a * x - b * y for x, y in zip(row, pivot_row)]
+    g = gcd(*new)
+    if g > 1:
+        new = [exact_div(v, g) for v in new]
+    return new, a, g
+
+
 def leading_minors(m: Matrix) -> list:
     """Determinants of the leading k x k blocks of m, k = 1..n, as Fractions.
 
-    One fraction-free (Bareiss) elimination without row swaps yields them
-    all: afterwards the k-th pivot of the row-scaled integer matrix is
-    det(m[:k, :k]) times the first k row factors.  Every interior division
-    is exact by construction, and checked at runtime anyway.  A zero
-    leading minor raises ValueError.
+    One primitive-row elimination without row swaps yields them all.  Row i
+    of the work stays scale_i / content_i times (row i of m plus multiples
+    of the rows above it): scale_i is the row's lcm factor times every
+    multiplier a applied to it, and content_i the product of every gcd
+    divided out of it.  So det(m[:k, :k]) = prod_{j<k} pivot_j content_j /
+    scale_j.  A zero leading minor raises ValueError; a row that vanishes
+    has content 0 and a zero pivot.
     """
     _require_square(m)
-    work, factors = _scaled_rows(m)
+    work, scales = _scaled_rows(m)
     n = len(work)
+    contents = [1] * n
     minors = []
-    prev = scale = 1
-    for k, f in enumerate(factors):
-        pivot = work[k][k]
-        if pivot == 0:
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = work[k]
+        p = pivot_row[k]
+        if p == 0:
             raise ValueError(f"leading principal minor of size {k + 1} is zero")
-        scale *= f
-        minors.append(Fraction(pivot, scale))
-        row_k = work[k]
+        det *= Fraction(p * contents[k], scales[k])
+        minors.append(det)
         for i in range(k + 1, n):
-            row_i = work[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = exact_div(pivot * row_i[j] - lead * row_k[j], prev)
-            row_i[k] = 0
-        prev = pivot
+            lead = work[i][k]
+            if lead:
+                work[i], a, g = _combine(work[i], pivot_row, lead, p)
+                scales[i] *= a
+                contents[i] *= g
     return minors
-
-
-def _primitive(row: list) -> list:
-    """row divided by the gcd of its entries; row must not be all zero.
-
-    The gcd divides every entry by definition, so each exact_div is exact.
-    """
-    g = gcd(*row)
-    return row if g == 1 else [exact_div(v, g) for v in row]
 
 
 def invert_rational(m: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination on primitive integer rows.
 
     Each row of m is scaled by the lcm of its denominators, F m, and
-    augmented with the identity.  Eliminating column c from row r replaces
-    it with p * row_r - row_r[c] * pivot_row, p the pivot, and then divides
-    the row by the gcd of its entries.  Scaling a row by a nonzero constant
-    is a legal Gauss-Jordan step, so the rows stay integer with nothing
-    rounded, and dividing out the gcd keeps their entries short.  The left half ends diagonal, D = E F m for the accumulated
-    right half E, so the inverse is read off as m^-1 = (F m)^-1 F = D^-1 E F.
+    augmented with the identity.  Eliminating column c from row r is one
+    _combine step against the pivot row.  Scaling a row by a nonzero
+    constant is a legal Gauss-Jordan step, so the rows stay integer with
+    nothing rounded, and dividing out the gcds keeps their entries short.
+    The left half ends diagonal, D = E F m for the accumulated right half E,
+    so the inverse is read off as m^-1 = (F m)^-1 F = D^-1 E F.
 
     The pivot is the first nonzero entry down each column: exact arithmetic
     needs no choice by magnitude, and first-nonzero keeps the elimination
@@ -103,7 +116,7 @@ def invert_rational(m: Matrix) -> Matrix:
         for r in range(n):
             f = aug[r][col]
             if r != col and f:
-                aug[r] = _primitive([p * a - f * b for a, b in zip(aug[r], pivot)])
+                aug[r] = _combine(aug[r], pivot, f, p)[0]
     return from_rows(
         [Fraction(aug[i][n + j] * factors[j], aug[i][i]) for j in range(n)] for i in range(n)
     )

@@ -7,8 +7,9 @@ wrapper so products with them stay O(n^2).
 
 Generators fill rows by recurrence instead of recomputing each coefficient
 from scratch: the symmetric Pascal array by prefix sums, integer additions
-only, and the others by running products with one exact division per
-entry; that includes the triangle's inverse, which has a closed form.
+only, its reciprocal entry by entry from it, and the others by running
+products with one exact division per entry; that includes the triangle's
+inverse, which has a closed form.
 Tests pin the generated entries to the scalar kernels in combinatorics.
 """
 from __future__ import annotations
@@ -94,16 +95,7 @@ def pascal_matrix(n: int) -> Matrix:
 
 def reciprocal_pascal(n: int) -> Matrix:
     """Entrywise reciprocal of the symmetric binomial array: (i, j) -> 1/C(i+j, i)."""
-    _require_size(n)
-    rows = []
-    for i in range(n):
-        c = 1
-        row = [Fraction(1)]
-        for j in range(n - 1):
-            c = exact_div(c * (i + j + 1), j + 1)
-            row.append(Fraction(1, c))
-        rows.append(row)
-    return from_rows(rows)
+    return from_rows([Fraction(1, c) for c in row] for row in pascal_matrix(n))
 
 
 def super_catalan_matrix(n: int) -> Matrix:

@@ -110,7 +110,7 @@ def antidiagonal_sequence(m) -> list:
 def det_inverse_sequence(max_n: int) -> SequenceRecord:
     """Determinants of the integer inverse for sizes 1..max_n, indexed by size.
 
-    R_n is the leading block of R_max_n, so one fraction-free elimination of
+    R_n is the leading block of R_max_n, so one primitive-row elimination of
     the largest reciprocal Pascal matrix yields every det(R_n); each term is
     1 / det(R_n), asserted to be an exact integer.
     """

@@ -136,7 +136,7 @@ def test_criterion_7_bareiss_equals_cofactor_to_12():
         if minor != det_cofactor(from_rows(row[:n] for row in r[:n])):
             ok, detail = False, f"disagreement at n={n}"
             break
-    report("criterion 7: Bareiss leading minors of R_12 equal the cofactor "
+    report("criterion 7: primitive-row leading minors of R_12 equal the cofactor "
            "determinants of R_n for n=1..12", ok, detail)
 
 

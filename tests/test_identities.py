@@ -124,7 +124,7 @@ def test_von_szily_rejects_negative_indices():
 
 
 def test_von_szily_sum_stable_under_widened_range():
-    # terms beyond |k| = max(m, n) vanish, so widening must not change the sum
+    # terms beyond |k| = min(m, n) vanish, so widening must not change the sum
     for m, n in ((0, 0), (1, 1), (3, 5), (12, 7)):
         bound = max(m, n) + 7
         total = sum(

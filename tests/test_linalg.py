@@ -88,6 +88,22 @@ def test_leading_minors_raise_on_a_zero_minor():
         leading_minors(from_rows([[0, 1], [1, 0]]))
     with pytest.raises(ValueError, match="size 2 is zero"):
         leading_minors(from_rows([[1, 2], [2, 4]]))
+    # row 1 vanishes entirely while column 0 is eliminated, before it pivots
+    with pytest.raises(ValueError, match="size 2 is zero"):
+        leading_minors(from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 0]]))
+
+
+def _assert_leading_minors_match_cofactor(entries):
+    """Every leading minor equals its cofactor determinant, or the first zero
+    one is named in the ValueError."""
+    m = from_rows(entries)
+    blocks = [from_rows(row[:k] for row in m[:k]) for k in range(1, len(entries) + 1)]
+    expected = [det_cofactor(b) for b in blocks]
+    if 0 in expected:
+        with pytest.raises(ValueError, match=f"size {expected.index(0) + 1} is zero"):
+            leading_minors(m)
+    else:
+        assert leading_minors(m) == expected
 
 
 @settings(deadline=None)
@@ -100,14 +116,33 @@ def test_leading_minors_raise_on_a_zero_minor():
     )
 )
 def test_leading_minors_match_cofactor_on_random_integer_matrices(entries):
-    m = from_rows(entries)
-    blocks = [from_rows(row[:k] for row in m[:k]) for k in range(1, len(entries) + 1)]
-    expected = [det_cofactor(b) for b in blocks]
-    if 0 in expected:
-        with pytest.raises(ValueError, match=f"size {expected.index(0) + 1} is zero"):
-            leading_minors(m)
-    else:
-        assert leading_minors(m) == expected
+    _assert_leading_minors_match_cofactor(entries)
+
+
+@st.composite
+def rational_matrices_with_row_factors(draw):
+    """Square rational matrices, n = 1..5, with zeros drawn often, rows
+    scaled by factors that leave their integer entries a common divisor,
+    and now and then a row that is a multiple of an earlier one."""
+    n = draw(st.integers(1, 5))
+    nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    entry = st.one_of(st.just(Fraction(0)), nonzero, nonzero)
+    factor = st.sampled_from([1, 2, 6, 12, Fraction(1, 4), Fraction(9, 5)])
+    rows = [
+        [draw(factor) * x for x in draw(st.lists(entry, min_size=n, max_size=n))]
+        for _ in range(n)
+    ]
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(1, n - 1))
+        f = draw(factor)
+        rows[i] = [f * x for x in rows[draw(st.integers(0, i - 1))]]
+    return rows
+
+
+@settings(deadline=None)
+@given(rational_matrices_with_row_factors())
+def test_leading_minors_match_cofactor_on_random_rational_matrices(entries):
+    _assert_leading_minors_match_cofactor(entries)
 
 
 def test_invert_pinned_values():

@@ -179,9 +179,11 @@ def test_det_inverse_sequence_pinned():
 
 
 def test_det_inverse_sequence_matches_formula_magnitudes():
-    rec = det_inverse_sequence(16)
-    for n in range(1, 17):
-        assert abs(rec.terms[n - 1]) == abs(det_r_inverse_formula(n)), n
+    terms = det_inverse_sequence(96).terms
+    assert len(terms) == 96
+    for n in range(1, 97):
+        assert abs(terms[n - 1]) == abs(det_r_inverse_formula(n)), n
+    assert sign_pattern(terms) == "+--+" * 24
 
 
 def test_det_inverse_sequence_matches_gauss_jordan_composition():
