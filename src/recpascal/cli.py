@@ -5,8 +5,14 @@ factorization), det (closed-form determinant next to the oracle), check
 (identity checks as a JSON report array), oeis (emit or cross-check
 sequence b-files), bench (race the two inversion routes).
 
+oeis generates only the terms it prints (A007318 as the rows of Pascal's
+triangle, no square array) and parses a reference b-file with one
+regular-expression match per line.
+
 Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage or
-input error.  gen output is deterministic byte for byte.
+input error: an unreadable, malformed or non-overlapping reference b-file,
+output that cannot be written, or a size too large to hold in memory.
+gen output is deterministic byte for byte.
 """
 from __future__ import annotations
 
@@ -325,10 +331,14 @@ def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     # b-file read errors are reported where the file is read, so an OSError
     # reaching here is a failed write: a full device, a closed pipe, --output.
+    # --n has no ceiling, so a size too large to hold is an input error too.
     try:
         code = run(args)
         sys.stdout.flush()
     except OSError as exc:
         print(f"recpascal: cannot write output: {exc}", file=sys.stderr)
+        code = 2
+    except MemoryError:
+        print(f"recpascal: out of memory (--n {args.n})", file=sys.stderr)
         code = 2
     sys.exit(code)

@@ -4,12 +4,19 @@ readings of matrices, and exact cross-checks against reference term files.
 A b-file is the OEIS interchange format: one "index value" pair per line,
 indices consecutive, '#' starting a comment line.  The format carries no
 sequence id, so records track the id alongside the terms.
+
+Generators build only the terms a reading returns: A007318 takes the
+complete antidiagonals of the symmetric Pascal array, which are the rows of
+Pascal's triangle, so it applies Pascal's rule row to row and never forms
+the square array, whose unread lower-right part holds the largest values.
 """
 from __future__ import annotations
 
 import re
 import time
 from collections import namedtuple
+from itertools import chain, compress
+from operator import add, ne
 
 from .combinatorics import ExactnessError, exact_div
 from .identities import CheckReport
@@ -19,7 +26,6 @@ from .matrices import (
     g_matrix,
     l_inverse_matrix,
     l_matrix,
-    pascal_matrix,
     reciprocal_pascal,
     super_catalan_matrix,
 )
@@ -27,7 +33,9 @@ from .matrices import (
 #: ids of the catalogued sequences this package can generate terms for.
 GENERATED_IDS = ("A000984", "A007318", "A094527", "A110162", "A060739")
 
-_LINE = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")
+# Matched against the raw line: re's \s and str.strip() share one Unicode
+# whitespace test, so this equals a fullmatch of the stripped line.
+_LINE = re.compile(r"\s*(-?[0-9]+)\s+(-?[0-9]+)\s*")
 
 
 class SequenceRecord(namedtuple("SequenceRecord", "oeis_id offset terms")):
@@ -44,7 +52,7 @@ class SequenceRecord(namedtuple("SequenceRecord", "oeis_id offset terms")):
 
 def emit_bfile(rec: SequenceRecord) -> str:
     """Render a record as b-file text, one "index value" pair per line."""
-    return "".join(f"{rec.offset + i} {t}\n" for i, t in enumerate(rec.terms))
+    return "".join([f"{i} {t}\n" for i, t in enumerate(rec.terms, rec.offset)])
 
 
 def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
@@ -52,30 +60,33 @@ def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
 
     Both fields are an optional '-' followed by ASCII digits (int() alone
     would take '+5', '1_0' and non-ASCII digits), and indices must be
-    consecutive.  Malformed or out-of-order lines raise ValueError
-    naming the offending line number; a field past the interpreter's
-    int <-> str digit limit raises the interpreter's own ValueError.
+    consecutive.  Each line takes one regular-expression match; only a
+    line that fails it is tested for being blank or a comment.  Malformed
+    or out-of-order lines raise ValueError naming the offending line
+    number; a field past the interpreter's int <-> str digit limit raises
+    the interpreter's own ValueError.
     """
     offset = 0
     prev = None
     terms = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        match = _LINE.fullmatch(stripped)
+        match = _LINE.fullmatch(line)
         if match is None:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
             raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
-        idx, value = int(match[1]), int(match[2])
+        idx, value = match.groups()
+        idx = int(idx)
         if prev is None:
             offset = idx
         elif idx != prev + 1:
             raise ValueError(f"line {lineno}: index {idx} does not follow {prev}")
         prev = idx
-        terms.append(value)
+        terms.append(int(value))
     if not terms:
         raise ValueError("no terms found")
-    return SequenceRecord(oeis_id, offset, tuple(terms))
+    return SequenceRecord(oeis_id, offset, terms)
 
 
 def triangle_rows_sequence(m) -> list:
@@ -139,15 +150,12 @@ def crosscheck(
     hi = min(reference.offset + len(reference.terms), generated.offset + len(generated.terms))
     if lo >= hi:
         raise ValueError("index ranges do not overlap")
-    mismatch = None
-    for idx in range(lo, hi):
-        e = reference.terms[idx - reference.offset]
-        a = generated.terms[idx - generated.offset]
-        if magnitude_only:
-            e, a = abs(e), abs(a)
-        if e != a:
-            mismatch = (idx, 0, e, a)
-            break
+    expected = reference.terms[lo - reference.offset : hi - reference.offset]
+    actual = generated.terms[lo - generated.offset : hi - generated.offset]
+    if magnitude_only:
+        expected, actual = tuple(map(abs, expected)), tuple(map(abs, actual))
+    first = next(compress(range(hi - lo), map(ne, expected, actual)), None)
+    mismatch = None if first is None else (lo + first, 0, expected[first], actual[first])
     return CheckReport(
         f"crosscheck:{reference.oeis_id}", hi - lo, mismatch, time.perf_counter() - start
     )
@@ -158,19 +166,30 @@ def sign_pattern(terms) -> str:
     return "".join("+" if t > 0 else "-" if t < 0 else "0" for t in terms)
 
 
+def _pascal_triangle_rows(n: int) -> list:
+    """Rows 0..n-1 of Pascal's triangle.  Row d is antidiagonal d of the
+    symmetric Pascal array, since C(i + (d-i), i) = C(d, i)."""
+    rows = [(1,)]
+    for _ in range(n - 1):
+        prev = rows[-1]
+        rows.append((1, *map(add, prev, prev[1:]), 1))
+    return rows
+
+
 def generated_sequence(oeis_id: str, n: int) -> SequenceRecord:
     """Generate this package's terms for one of the catalogued sequence ids.
 
     n is the generating matrix size (for A000984, the number of terms).
     Square arrays are read by complete antidiagonals only, so flat indices
-    line up with the catalogued triangle readings.
+    line up with the catalogued triangle readings.  For A007318 those are
+    triangle rows 0..n-1, n(n+1)/2 terms, built by Pascal's rule.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if oeis_id == "A000984":
         return SequenceRecord(oeis_id, 0, g_matrix(n).diag)
     if oeis_id == "A007318":
-        return SequenceRecord(oeis_id, 0, tuple(antidiagonal_sequence(pascal_matrix(n))))
+        return SequenceRecord(oeis_id, 0, chain.from_iterable(_pascal_triangle_rows(n)))
     if oeis_id == "A094527":
         return SequenceRecord(oeis_id, 0, tuple(triangle_rows_sequence(l_matrix(n))))
     if oeis_id == "A110162":

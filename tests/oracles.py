@@ -4,7 +4,8 @@ These deliberately avoid the package's fast routes: binomials come from
 factorials, determinants from cofactor expansion or a pivoting Bareiss
 elimination of their own, det(R^-1) from the Gauss-Jordan inverse of R
 rather than from the leading minors of R itself, and R·X = I from
-row-scaled integer products of their own.
+row-scaled integer products of their own, and b-files from a reader that
+splits each stripped line into fields instead of matching a pattern.
 Agreement between a fast route and a slow oracle is the evidence the tests
 are after.  A000984_BFILE names a vendored reference b-file, the same
 kind of independent evidence for the sequence side.
@@ -16,10 +17,39 @@ from functools import lru_cache
 from math import factorial, lcm
 from pathlib import Path
 
-from recpascal import invert_rational, reciprocal_pascal
+from recpascal import SequenceRecord, invert_rational, reciprocal_pascal
 
 #: Vendored reference b-file of the central binomials C(2m, m), m = 0..30.
 A000984_BFILE = Path(__file__).parent / "data" / "b000984.txt"
+
+
+def _is_decimal_field(field: str) -> bool:
+    digits = field[1:] if field.startswith("-") else field
+    return bool(digits) and all(c in "0123456789" for c in digits)
+
+
+def parse_bfile_by_fields(text: str, oeis_id: str = "") -> SequenceRecord:
+    """Line-by-line b-file reader: a stripped line that is empty or starts
+    with '#' is skipped; any other must split into exactly two fields, each
+    an optional '-' and ASCII digits, with consecutive indices.  Raises the
+    same ValueError messages as parse_bfile."""
+    offset, prev, terms = 0, None, []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 2 or not all(map(_is_decimal_field, fields)):
+            raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
+        idx = int(fields[0])
+        if prev is not None and idx != prev + 1:
+            raise ValueError(f"line {lineno}: index {idx} does not follow {prev}")
+        if prev is None:
+            offset = idx
+        prev = idx
+        terms.append(int(fields[1]))
+    if not terms:
+        raise ValueError("no terms found")
+    return SequenceRecord(oeis_id, offset, terms)
 
 
 def binomial_factorial(n: int, k: int) -> int:

@@ -267,6 +267,37 @@ def test_oeis_terms_past_the_digit_limit_round_trip(tmp_path):
     assert report["passed"] is True and report["n"] == 8000
 
 
+def test_oeis_pascal_triangle_at_benchmark_scale_in_process(tmp_path, capsys):
+    # the sequence benchmark's A007318 ops: emit 400 antidiagonals, then
+    # cross-check the written file against a fresh generation
+    ref = tmp_path / "b007318.txt"
+    for argv in (["--output", str(ref)], ["--bfile", str(ref)]):
+        with unlimited_int_digits(), pytest.raises(SystemExit) as exit_info:
+            cli.main(["oeis", "--id", "A007318", "--n", "400", *argv])
+        assert exit_info.value.code == 0
+    assert ref.read_text().endswith("80198 399\n80199 1\n")
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["passed"] is True and report["n"] == 80200
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--matrix", "pascal", "--n", "5"],
+    ["oeis", "--id", "A007318", "--n", "5"],
+])
+def test_memory_error_exits_2_in_process(monkeypatch, capsys, argv):
+    # stands in for a size too large to hold; never allocate one for real
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setitem(cli._GENERATORS, "pascal", exhausted)
+    monkeypatch.setattr(cli, "generated_sequence", exhausted)
+    with unlimited_int_digits(), pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "recpascal: out of memory (--n 5)\n"
+
+
 def test_output_flag_writes_file(tmp_path):
     out = tmp_path / "m.csv"
     res = run_cli("gen", "--matrix", "pascal", "--n", "2", "--format", "csv",

@@ -166,6 +166,19 @@ def test_l_inverse_column_catches_an_error_off_column_0(data):
     assert rep.counterexample == (i, j, 0, 2)
 
 
+@pytest.mark.parametrize("factor", ["l_matrix", "l_inverse_matrix"])
+def test_l_inverse_column_catches_an_entry_above_either_diagonal(factor):
+    # the product sums only over the lower triangles, so a nonzero above
+    # either factor's diagonal must be reported where it sits
+    n, i, j = 6, 2, 4
+    entries = getattr(identities, factor)(n).tolist()
+    entries[i][j] = 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, factor, lambda n: from_rows(entries))
+        rep = check_l_inverse_column(n)
+    assert rep.counterexample == (i, j, 0, 3)
+
+
 def test_r_inverse_pinned():
     assert r_inverse_via_factorization(1).tolist() == [[1]]
     assert r_inverse_via_factorization(2).tolist() == [[-1, 2], [2, -2]]

@@ -28,7 +28,12 @@ from recpascal import (
     triangle_rows_sequence,
 )
 
-from oracles import A000984_BFILE, det_r_inverse_gauss_jordan, unlimited_int_digits
+from oracles import (
+    A000984_BFILE,
+    det_r_inverse_gauss_jordan,
+    parse_bfile_by_fields,
+    unlimited_int_digits,
+)
 
 
 def test_record_coerces_terms_to_tuple():
@@ -89,6 +94,47 @@ def test_parse_rejects_malformed_line():
     for text in ("0 1_0\n", "+0 +5\n", "0 \u0663\n"):
         with pytest.raises(ValueError, match="line 1: expected 'index value'"):
             parse_bfile(text)
+
+
+_PAD = st.text(" \t\r\u00a0", max_size=2)
+_FIELD = st.text("0123456789-\u0663_+", min_size=1, max_size=4)
+_ANY = st.text("0123456789- \t\r\u00a0\u0663_+#", max_size=10)
+
+
+@st.composite
+def _bfile_texts(draw):
+    """Mostly well-formed b-file text: records with padding around and between
+    the fields, each field either right (the next index, a plain integer) or
+    drawn from the alphabet, plus comment and arbitrary lines."""
+    lines, idx = [], draw(st.integers(-3, 3))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("record",) * 4 + ("comment", "any")))
+        if kind == "record":
+            index = str(idx) if draw(st.integers(0, 3)) else draw(_FIELD)
+            value = str(draw(st.integers(-999, 999))) if draw(st.integers(0, 3)) else draw(_FIELD)
+            sep = draw(st.text(" \t\u00a0", min_size=1, max_size=2))
+            lines.append(draw(_PAD) + index + sep + value + draw(_PAD))
+            idx += 1
+        elif kind == "comment":
+            lines.append(draw(_PAD) + "#" + draw(_ANY))
+        else:
+            lines.append(draw(_ANY))
+    return "\n".join(lines)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text, oeis_id="T")
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(_bfile_texts())
+def test_parse_matches_the_line_by_line_reader(text):
+    # one pattern match on the raw line must read every line, blank,
+    # comment, record or malformed, as stripping and splitting it does
+    assert _parse_outcome(parse_bfile, text) == _parse_outcome(parse_bfile_by_fields, text)
 
 
 def test_parse_rejects_index_gap():
@@ -218,6 +264,20 @@ def test_crosscheck_uses_the_overlap_only():
     assert rep.passed and rep.n == 2
 
 
+def test_crosscheck_mismatch_at_the_last_overlapping_index():
+    ref = SequenceRecord("X", 0, (1, 2, 6, 20))
+    gen = SequenceRecord("X", 1, (2, 6, 21, 70, 252))
+    rep = crosscheck(ref, gen)
+    assert rep.n == 3 and rep.counterexample == (3, 0, 20, 21)
+
+
+def test_crosscheck_mismatch_inside_a_shifted_overlap():
+    ref = SequenceRecord("X", 3, (20, 70, 252, 924))
+    gen = SequenceRecord("X", 1, (2, 6, 20, 71, 252, 925, 3432))
+    rep = crosscheck(ref, gen)
+    assert rep.n == 4 and rep.counterexample == (4, 0, 70, 71)
+
+
 def test_crosscheck_rejects_disjoint_ranges():
     with pytest.raises(ValueError, match="overlap"):
         crosscheck(SequenceRecord("X", 0, (1,)), SequenceRecord("X", 5, (1,)))
@@ -228,6 +288,14 @@ def test_crosscheck_magnitude_only_mode():
     gen = det_inverse_sequence(3)
     assert not crosscheck(ref, gen).passed
     assert crosscheck(ref, gen, magnitude_only=True).passed
+
+
+def test_crosscheck_sign_only_mismatch_and_magnitude_counterexample():
+    ref = SequenceRecord("X", 0, (1, -2, 36, 7200))
+    gen = SequenceRecord("X", 0, (1, -2, -36, -7201))
+    assert crosscheck(ref, gen).counterexample == (2, 0, 36, -36)
+    # magnitude_only skips the sign at index 2 and reports absolute values
+    assert crosscheck(ref, gen, magnitude_only=True).counterexample == (3, 0, 7200, 7201)
 
 
 def test_sign_pattern():
@@ -242,7 +310,7 @@ def test_generated_central_binomials():
 
 def test_generated_pascal_antidiagonals_match_triangle_rows():
     # complete antidiagonals of the square array are exactly the triangle rows
-    for n in range(1, 65):
+    for n in (*range(1, 65), 400):
         expected = tuple(comb(d, i) for d in range(n) for i in range(d + 1))
         assert generated_sequence("A007318", n).terms == expected, n
 
