@@ -7,7 +7,11 @@ sequence b-files), bench (race the two inversion routes).
 
 oeis generates only the terms it prints (A007318 as the rows of Pascal's
 triangle, no square array) and parses a reference b-file with one
-regular-expression match per line.
+regular-expression match per line, split from the text a block at a time;
+gen --format bfile takes the same generators where the matrix's reading is
+a catalogued sequence.  Every command computes its result before writing
+any of it, and writes b-file text a block of lines at a time: a failing
+input leaves an --output file untouched, and no whole-file string is built.
 
 Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage or
 input error: an unreadable, malformed or non-overlapping reference b-file,
@@ -20,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 from .identities import (
@@ -48,12 +53,11 @@ from .sequences import (
     SequenceRecord,
     antidiagonal_sequence,
     crosscheck,
-    emit_bfile,
+    emit_bfile_blocks,
     generated_sequence,
     parse_bfile,
     sign_pattern,
     super_catalan_candidates,
-    triangle_rows_sequence,
 )
 
 _GENERATORS = {
@@ -68,6 +72,12 @@ _GENERATORS = {
 }
 
 _FORMATS = ("pretty", "csv", "json", "bfile")
+
+#: Matrices whose --format bfile reading is a catalogued sequence, which is
+#: generated without building the matrix: Pascal's complete antidiagonals,
+#: the triangle rows of L and L^-1, and G's diagonal.
+_CATALOGUED_READINGS = {"pascal": "A007318", "L": "A094527", "Linv": "A110162",
+                        "G": "A000984"}
 
 
 def _check_det(n: int) -> CheckReport:
@@ -166,24 +176,28 @@ def _render_json(dense) -> str:
     return json.dumps(obj) + "\n"
 
 
-def _matrix_reading(mat, kind: str) -> SequenceRecord:
-    """Sequence reading used for --format bfile, chosen by matrix shape."""
+def _matrix_reading(kind: str, n: int) -> SequenceRecord:
+    """Sequence reading used for --format bfile: the catalogued sequence
+    where there is one, else D's diagonal or the complete antidiagonals."""
+    if kind in _CATALOGUED_READINGS:
+        return generated_sequence(_CATALOGUED_READINGS[kind], n)
+    mat = _GENERATORS[kind](n)
     if isinstance(mat, Diagonal):
         return SequenceRecord(kind, 0, mat.diag)
-    if kind in ("L", "Linv"):
-        return SequenceRecord(kind, 0, tuple(triangle_rows_sequence(mat)))
     return SequenceRecord(kind, 0, tuple(antidiagonal_sequence(mat)))
 
 
-def _render_matrix(mat, fmt: str, kind: str) -> str:
+def _render_matrix(kind: str, n: int, fmt: str):
+    """The named matrix in one format, as pieces of text to write."""
     if fmt == "bfile":
-        return emit_bfile(_matrix_reading(mat, kind))
+        return emit_bfile_blocks(_matrix_reading(kind, n))
+    mat = _GENERATORS[kind](n)
     dense = mat.to_dense() if isinstance(mat, Diagonal) else mat
     if fmt == "csv":
-        return _render_csv(dense)
+        return [_render_csv(dense)]
     if fmt == "json":
-        return _render_json(dense)
-    return _render_pretty(dense)
+        return [_render_json(dense)]
+    return [_render_pretty(dense)]
 
 
 def _det_text(args: argparse.Namespace) -> tuple[str, int]:
@@ -207,16 +221,18 @@ def _det_text(args: argparse.Namespace) -> tuple[str, int]:
     return "".join(line + "\n" for line in lines), code
 
 
-def _oeis_text(args: argparse.Namespace) -> tuple[str, int]:
+def _oeis_output(args: argparse.Namespace) -> tuple:
+    """(pieces of text to write, exit code); every record is generated and
+    every check run before this returns, only the b-file text is lazy."""
     oeis_id = args.oeis_id
     if args.bfile_path is None:
         if oeis_id == "A068555":
-            parts = []
-            for label, rec in super_catalan_candidates(max(args.n, 2)).items():
-                parts.append(f"# candidate reading: {label}\n")
-                parts.append(emit_bfile(rec))
-            return "".join(parts), 0
-        return emit_bfile(generated_sequence(oeis_id, args.n)), 0
+            candidates = super_catalan_candidates(max(args.n, 2)).items()
+            return chain.from_iterable(
+                chain((f"# candidate reading: {label}\n",), emit_bfile_blocks(rec))
+                for label, rec in candidates
+            ), 0
+        return emit_bfile_blocks(generated_sequence(oeis_id, args.n)), 0
 
     try:
         reference = parse_bfile(args.bfile_path.read_text(), oeis_id=oeis_id)
@@ -233,7 +249,7 @@ def _oeis_text(args: argparse.Namespace) -> tuple[str, int]:
             except ValueError:
                 results[label] = {"note": "no overlapping indices"}
         obj = {"id": oeis_id, "asserted": False, "candidates": results}
-        return json.dumps(obj, indent=2) + "\n", 0
+        return [json.dumps(obj, indent=2) + "\n"], 0
 
     generated = generated_sequence(oeis_id, args.n)
     signs = oeis_id == "A060739"
@@ -252,7 +268,7 @@ def _oeis_text(args: argparse.Namespace) -> tuple[str, int]:
         }
     else:
         obj = {"id": oeis_id, "report": report.to_json()}
-    return json.dumps(obj, indent=2) + "\n", 0 if report.passed else 1
+    return [json.dumps(obj, indent=2) + "\n"], 0 if report.passed else 1
 
 
 def _max_numerator_bits(*matrices) -> int:
@@ -293,32 +309,36 @@ def bench(n: int) -> dict:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code.
 
-    A failed write raises OSError, which main turns into exit 2.
+    The result is computed before anything is written; its text is then
+    written piece by piece, a rendered string being one piece and a b-file
+    a block of lines.  A failed write raises OSError, which main turns into
+    exit 2.
     """
     if args.command == "gen":
-        text = _render_matrix(_GENERATORS[args.matrix](args.n), args.fmt, args.matrix)
-        code = 0
+        pieces, code = _render_matrix(args.matrix, args.n, args.fmt), 0
     elif args.command == "invert":
-        text = _render_matrix(r_inverse_via_factorization(args.n), args.fmt, "Rinv")
-        code = 0
+        pieces, code = _render_matrix("Rinv", args.n, args.fmt), 0
     elif args.command == "det":
         text, code = _det_text(args)
+        pieces = [text]
     elif args.command == "check":
         reports = [check(args.n) for name, check in _CHECKS.items()
                    if "all" in args.checks or name in args.checks]
-        text = json.dumps([rep.to_json() for rep in reports], indent=2) + "\n"
+        pieces = [json.dumps([rep.to_json() for rep in reports], indent=2) + "\n"]
         code = 0 if all(rep.passed for rep in reports) else 1
     elif args.command == "oeis":
-        text, code = _oeis_text(args)
+        pieces, code = _oeis_output(args)
     elif args.command == "bench":
         result = bench(args.n)
-        text = json.dumps(result, indent=2) + "\n"
+        pieces = [json.dumps(result, indent=2) + "\n"]
         code = 0 if result["equal"] else 1
 
     if args.output_path is not None:
-        args.output_path.write_text(text)
+        # Path.write_text's defaults: locale encoding, strict errors
+        with args.output_path.open("w") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return code
 
 

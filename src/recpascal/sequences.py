@@ -9,6 +9,12 @@ Generators build only the terms a reading returns: A007318 takes the
 complete antidiagonals of the symmetric Pascal array, which are the rows of
 Pascal's triangle, so it applies Pascal's rule row to row and never forms
 the square array, whose unread lower-right part holds the largest values.
+
+b-file text moves through fixed-size blocks in both directions: emit yields
+a record's text a thousand lines at a time, so a writer never holds the
+whole file as one string, and parse splits its input into slices of about
+64 KiB that end just after a newline, so no list of every line is held
+beside the text.
 """
 from __future__ import annotations
 
@@ -37,6 +43,13 @@ GENERATED_IDS = ("A000984", "A007318", "A094527", "A110162", "A060739")
 # whitespace test, so this equals a fullmatch of the stripped line.
 _LINE = re.compile(r"\s*(-?[0-9]+)\s+(-?[0-9]+)\s*")
 
+# Block sizes are constants, not parameters: a block's memory grows with the
+# digits per term, and no caller needs another size.
+#: Lines per block of emitted b-file text.
+_EMIT_LINES = 1000
+#: Characters after which a parse slice ends, just after the next newline.
+_PARSE_CHARS = 1 << 16
+
 
 class SequenceRecord(namedtuple("SequenceRecord", "oeis_id offset terms")):
     """A run of consecutive integer sequence terms; offset indexes terms[0]."""
@@ -50,9 +63,30 @@ class SequenceRecord(namedtuple("SequenceRecord", "oeis_id offset terms")):
         return super().__new__(cls, oeis_id, offset, terms)
 
 
+def emit_bfile_blocks(rec: SequenceRecord):
+    """Yield a record's b-file text, one "index value" pair per line, in
+    blocks of _EMIT_LINES lines (the last block may be shorter)."""
+    terms = rec.terms
+    for start in range(0, len(terms), _EMIT_LINES):
+        block = terms[start : start + _EMIT_LINES]
+        yield "".join([f"{i} {t}\n" for i, t in enumerate(block, rec.offset + start)])
+
+
 def emit_bfile(rec: SequenceRecord) -> str:
     """Render a record as b-file text, one "index value" pair per line."""
-    return "".join([f"{i} {t}\n" for i, t in enumerate(rec.terms, rec.offset)])
+    return "".join(emit_bfile_blocks(rec))
+
+
+def _line_blocks(text: str):
+    """Yield text.splitlines() in blocks: the lines of consecutive slices of
+    about _PARSE_CHARS characters.  Each slice but the last ends just after a
+    "\n", which always ends a line, even as the second half of "\r\n", so
+    the blocks chain to the lines of the whole text."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _PARSE_CHARS) + 1 or len(text)
+        yield text[start:cut].splitlines()
+        start = cut
 
 
 def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
@@ -60,16 +94,17 @@ def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
 
     Both fields are an optional '-' followed by ASCII digits (int() alone
     would take '+5', '1_0' and non-ASCII digits), and indices must be
-    consecutive.  Each line takes one regular-expression match; only a
-    line that fails it is tested for being blank or a comment.  Malformed
-    or out-of-order lines raise ValueError naming the offending line
-    number; a field past the interpreter's int <-> str digit limit raises
-    the interpreter's own ValueError.
+    consecutive.  Lines are split from the text a slice at a time, so no
+    list of every line is held.  Each line takes one regular-expression
+    match; only a line that fails it is tested for being blank or a
+    comment.  Malformed or out-of-order lines raise ValueError naming the
+    offending line number; a field past the interpreter's int <-> str
+    digit limit raises the interpreter's own ValueError.
     """
     offset = 0
     prev = None
     terms = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(chain.from_iterable(_line_blocks(text)), start=1):
         match = _LINE.fullmatch(line)
         if match is None:
             stripped = line.strip()

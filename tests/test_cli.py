@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
@@ -197,6 +198,18 @@ def test_oeis_malformed_reference_exits_2(tmp_path):
         assert "recpascal: cannot read b-file" in res.stderr
 
 
+def test_malformed_reference_leaves_the_output_file_unchanged(tmp_path):
+    # the reference is parsed before --output is opened, which truncates it
+    bad, out = tmp_path / "bad.txt", tmp_path / "out.txt"
+    bad.write_text("0 1\n1 2\n3 20\n")
+    out.write_bytes(b"kept\r\nas it was\n")
+    res = run_cli("oeis", "--id", "A000984", "--n", "5", "--bfile", str(bad),
+                  "--output", str(out))
+    assert res.returncode == 2
+    assert res.stderr == "recpascal: cannot read b-file: line 3: index 3 does not follow 1\n"
+    assert out.read_bytes() == b"kept\r\nas it was\n"
+
+
 def test_oeis_missing_reference_file_exits_2(tmp_path):
     res = run_cli("oeis", "--id", "A000984", "--bfile", str(tmp_path / "nope.txt"))
     assert res.returncode == 2
@@ -280,6 +293,47 @@ def test_oeis_pascal_triangle_at_benchmark_scale_in_process(tmp_path, capsys):
     assert report["passed"] is True and report["n"] == 80200
 
 
+def _traced_peak_mb(argv) -> float:
+    """Peak traced allocation of one in-process run of main, in MB."""
+    tracemalloc.start()
+    try:
+        with unlimited_int_digits(), pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exit_info.value.code == 0
+    return peak / 2**20
+
+
+def test_pascal_triangle_ops_hold_no_whole_file_copy(tmp_path, capsys):
+    # the sequence benchmark's A007318 ops: joining every line of the 5.1 MB
+    # b-file into one string peaks near 19 MB, and so does holding a list of
+    # every line of the reference beside its text; in blocks, the emit holds
+    # the terms and the cross-check the reference's text and two term tuples
+    ref = tmp_path / "b007318.txt"
+    emit = ["oeis", "--id", "A007318", "--n", "400"]
+    assert _traced_peak_mb([*emit, "--output", str(ref)]) < 10
+    assert _traced_peak_mb([*emit, "--bfile", str(ref)]) < 14
+    assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
+
+
+class _PipeClosedAfterOneWrite(io.StringIO):
+    def write(self, text):
+        if self.tell():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_broken_pipe_mid_stream_exits_2_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _PipeClosedAfterOneWrite())
+    with unlimited_int_digits(), pytest.raises(SystemExit) as exit_info:
+        cli.main(["oeis", "--id", "A007318", "--n", "400"])
+    assert exit_info.value.code == 2
+    assert sys.stdout.getvalue().startswith("0 1\n1 1\n2 1\n3 1\n4 2\n")
+    assert capsys.readouterr().err == "recpascal: cannot write output: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--matrix", "pascal", "--n", "5"],
     ["oeis", "--id", "A007318", "--n", "5"],
@@ -316,11 +370,16 @@ def test_output_to_unwritable_path_exits_2(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-@pytest.mark.parametrize("command", ["gen", "check"])
-def test_output_to_a_full_device_exits_2(command):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--n", "3"], id="gen"),
+    pytest.param(["check", "--n", "3"], id="check"),
+    # 81 blocks of b-file text: the device fills in the middle of the stream
+    pytest.param(["oeis", "--id", "A007318", "--n", "400"], id="oeis"),
+])
+def test_output_to_a_full_device_exits_2(argv):
     with open("/dev/full", "w") as full:
         res = subprocess.run(
-            [sys.executable, "-m", "recpascal", command, "--n", "3"],
+            [sys.executable, "-m", "recpascal", *argv],
             stdout=full, stderr=subprocess.PIPE, text=True,
         )
     assert res.returncode == 2

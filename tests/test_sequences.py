@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recpascal import sequences
 from recpascal import (
     SequenceRecord,
     antidiagonal_sequence,
@@ -99,13 +100,18 @@ def test_parse_rejects_malformed_line():
 _PAD = st.text(" \t\r\u00a0", max_size=2)
 _FIELD = st.text("0123456789-\u0663_+", min_size=1, max_size=4)
 _ANY = st.text("0123456789- \t\r\u00a0\u0663_+#", max_size=10)
+# every str.splitlines() boundary kind, "\r\n" included
+_TERMINATOR = st.sampled_from(
+    ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"))
+_BLOCK_SIZE = st.integers(1, 16)
 
 
 @st.composite
 def _bfile_texts(draw):
     """Mostly well-formed b-file text: records with padding around and between
     the fields, each field either right (the next index, a plain integer) or
-    drawn from the alphabet, plus comment and arbitrary lines."""
+    drawn from the alphabet, plus comment and arbitrary lines, each line
+    ended by a drawn terminator (the last one optionally by none)."""
     lines, idx = [], draw(st.integers(-3, 3))
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(("record",) * 4 + ("comment", "any")))
@@ -119,7 +125,10 @@ def _bfile_texts(draw):
             lines.append(draw(_PAD) + "#" + draw(_ANY))
         else:
             lines.append(draw(_ANY))
-    return "\n".join(lines)
+    ends = [draw(_TERMINATOR) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
 
 
 def _parse_outcome(parse, text):
@@ -130,11 +139,33 @@ def _parse_outcome(parse, text):
 
 
 @settings(max_examples=300)
-@given(_bfile_texts())
-def test_parse_matches_the_line_by_line_reader(text):
+@given(_bfile_texts(), _BLOCK_SIZE)
+def test_parse_matches_the_line_by_line_reader(text, block_chars):
     # one pattern match on the raw line must read every line, blank,
-    # comment, record or malformed, as stripping and splitting it does
-    assert _parse_outcome(parse_bfile, text) == _parse_outcome(parse_bfile_by_fields, text)
+    # comment, record or malformed, as stripping and splitting it does; a
+    # small block size cuts the text next to every terminator kind and
+    # between the halves of "\r\n"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_PARSE_CHARS", block_chars)
+        outcome = _parse_outcome(parse_bfile, text)
+    assert outcome == _parse_outcome(parse_bfile_by_fields, text)
+
+
+@given(st.data(), _BLOCK_SIZE)
+def test_emit_blocks_join_to_one_line_per_term(data, block_lines):
+    # records of one term up to three blocks plus one
+    terms = data.draw(st.lists(st.integers(-10**30, 10**30), min_size=1,
+                               max_size=3 * block_lines + 1))
+    rec = SequenceRecord("T", data.draw(st.integers(-50, 50)), terms)
+    expected = "".join(str(rec.offset + k) + " " + str(t) + "\n"
+                       for k, t in enumerate(terms))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_EMIT_LINES", block_lines)
+        blocks = list(sequences.emit_bfile_blocks(rec))
+        text = emit_bfile(rec)
+    assert "".join(blocks) == text == expected
+    assert [block.count("\n") for block in blocks[:-1]] == [block_lines] * (len(blocks) - 1)
+    assert 1 <= blocks[-1].count("\n") <= block_lines
 
 
 def test_parse_rejects_index_gap():
