@@ -3,7 +3,11 @@
 Subcommands: gen (print a matrix), invert (integer inverse via the
 factorization), det (closed-form determinant next to the oracle), check
 (identity checks as a JSON report array), oeis (emit or cross-check
-sequence b-files), bench (race the two inversion routes).
+sequence b-files), bench (race the two inversion routes).  Each takes --n
+and --output, and only the flags it reads besides: gen and invert render
+--format pretty, csv, json or bfile, det pretty or json, and check, bench
+and oeis print JSON or a b-file and take no --format; oeis --signed applies
+only with --id A060739 --bfile.  Any other flag is a usage error.
 
 oeis generates only the terms it prints (A007318 as the rows of Pascal's
 triangle, no square array) and parses a reference b-file with one
@@ -119,20 +123,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt_default="pretty"):
+    def add_common(p):
         p.add_argument("--n", type=_positive_int, default=8, help="matrix size (default 8)")
-        p.add_argument("--format", dest="fmt", choices=_FORMATS, default=fmt_default)
         p.add_argument("--output", dest="output_path", type=Path, default=None,
                        help="write to this file instead of stdout")
 
     p = sub.add_parser("gen", help="print one of the named matrices")
     p.add_argument("--matrix", choices=tuple(_GENERATORS), default="reciprocal")
+    p.add_argument("--format", dest="fmt", choices=_FORMATS, default="pretty")
     add_common(p)
 
     p = sub.add_parser("invert", help="integer inverse via the factorization")
+    p.add_argument("--format", dest="fmt", choices=_FORMATS, default="pretty")
     add_common(p)
 
     p = sub.add_parser("det", help="closed-form determinant next to the exact oracle")
+    p.add_argument("--format", dest="fmt", choices=("pretty", "json"), default="pretty")
     add_common(p)
 
     p = sub.add_parser("check", help="run identity checks, print a JSON report array")
@@ -146,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bfile", dest="bfile_path", type=Path, default=None,
                    help="reference b-file to cross-check against")
     p.add_argument("--signed", action="store_true",
-                   help="compare signs too for A060739 (default: magnitudes only)")
+                   help="compare signs too, for --id A060739 --bfile only")
     add_common(p)
 
     p = sub.add_parser("bench", help="race the factorization inverse against Gauss-Jordan")
@@ -348,7 +354,11 @@ def main(argv=None) -> None:
     # command-line process.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "oeis" and args.signed and (
+            args.oeis_id != "A060739" or args.bfile_path is None):
+        parser.error("--signed applies only to oeis --id A060739 --bfile FILE")
     # b-file read errors are reported where the file is read, so an OSError
     # reaching here is a failed write: a full device, a closed pipe, --output.
     # --n has no ceiling, so a size too large to hold is an input error too.

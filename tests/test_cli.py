@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from recpascal import GENERATED_IDS, cli
+from recpascal import GENERATED_IDS, cli, generated_sequence
 
 from oracles import A000984_BFILE, unlimited_int_digits
 
@@ -387,37 +388,156 @@ def test_output_to_a_full_device_exits_2(argv):
     assert "Traceback" not in res.stderr
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_exit_code_contract_in_process(tmp_path, data):
-    # 0 ok, 1 a check failed, 2 usage or input error; any other exception
-    # escaping main is the in-process form of a traceback
-    command = data.draw(st.sampled_from(("gen", "invert", "det", "check", "oeis", "bench")))
-    argv = [command, "--n", str(data.draw(st.integers(1, 4))),
-            "--format", data.draw(st.sampled_from(cli._FORMATS))]
-    if command == "gen":
-        argv += ["--matrix", data.draw(st.sampled_from(tuple(cli._GENERATORS)))]
-    elif command == "check":
-        argv += ["--checks", data.draw(st.sampled_from(tuple(cli._CHECKS) + ("all",)))]
-    elif command == "oeis":
-        argv += ["--id", data.draw(st.sampled_from(GENERATED_IDS + ("A068555",)))]
-        kind = data.draw(st.sampled_from(("missing", "directory", "garbage")))
-        if kind == "missing":
-            bfile = tmp_path / "missing.txt"
-        elif kind == "directory":
-            bfile = tmp_path
-        else:
-            bfile = tmp_path / "garbage.txt"
-            bfile.write_bytes(data.draw(st.binary(max_size=64)))
-        argv += ["--bfile", str(bfile)] + ["--signed"] * data.draw(st.booleans())
+#: The --format choices each command renders; any other format is a usage
+#: error, and check, bench and oeis take no --format at all.
+_ALL_FORMATS = ("pretty", "csv", "json", "bfile")
+_FORMAT_CHOICES = {"gen": _ALL_FORMATS, "invert": _ALL_FORMATS, "det": ("pretty", "json"),
+                   "check": (), "oeis": (), "bench": ()}
+_HONOURED_PAIRS = [(command, fmt) for command, formats in _FORMAT_CHOICES.items()
+                   for fmt in formats]
+_REMOVED_PAIRS = [(command, fmt) for command, formats in _FORMAT_CHOICES.items()
+                  for fmt in _ALL_FORMATS if fmt not in formats]
+
+
+def _main_in_process(argv):
+    """(exit code, stdout, stderr) of one in-process run of main."""
     out, err = io.StringIO(), io.StringIO()
     # main lifts the int <-> str digit limit; the context restores it
     with unlimited_int_digits(), redirect_stdout(out), redirect_stderr(err), \
             pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
-    assert exit_info.value.code in (0, 1, 2), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return exit_info.value.code, out.getvalue(), err.getvalue()
+
+
+def _assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: recpascal") and "error: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,fmt", _HONOURED_PAIRS)
+def test_each_command_renders_its_own_formats(command, fmt):
+    code, out, err = _main_in_process([command, "--n", "2", "--format", fmt])
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param([command, "--n", "2", "--format", fmt]
+                   + (["--id", "A000984"] if command == "oeis" else []),
+                   id=f"{command}-{fmt}")
+      for command, fmt in _REMOVED_PAIRS),
+    pytest.param(["oeis", "--id", "A000984", "--n", "2", "--bfile", str(A000984_BFILE),
+                  "--signed"], id="signed-other-id"),
+    pytest.param(["oeis", "--id", "A060739", "--n", "2", "--signed"],
+                 id="signed-without-bfile"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    _assert_usage_error(*_main_in_process(argv))
+
+
+def _crosscheck_exit(reference: dict, generated: dict, magnitude_only: bool) -> int:
+    """Exit code of a cross-check of {index: term} maps: 2 if no index is
+    shared, else 0 if every shared term agrees, else 1."""
+    shared = reference.keys() & generated.keys()
+    if not shared:
+        return 2
+    if magnitude_only:
+        reference = {i: abs(term) for i, term in reference.items()}
+        generated = {i: abs(term) for i, term in generated.items()}
+    return 0 if all(reference[i] == generated[i] for i in shared) else 1
+
+
+def _draw_reference(data, generated: dict) -> dict:
+    """{index: term} for a well-formed b-file: consecutive indices from a
+    negative, shifted or huge offset, overlapping the generated terms in
+    part, in full or not at all; each term the generated one or a value of
+    up to hundreds of digits."""
+    count = data.draw(st.integers(1, 40))
+    lo, hi = (min(generated), max(generated) + 1) if generated else (0, 1)
+    start = data.draw(st.integers(lo - count, hi))
+    if data.draw(st.integers(0, 3)) == 0:
+        start += data.draw(st.sampled_from((-1, 1))) * 10 ** data.draw(st.integers(6, 40))
+    copy = data.draw(st.booleans())
+    values = st.integers(-10**9, 10**9) | st.integers(10**199, 10**400) \
+        | st.integers(-10**400, -10**199)
+    return {i: generated[i] if copy and i in generated else data.draw(values)
+            for i in range(start, start + count)}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_exit_code_contract_in_process(tmp_path, data):
+    # 0 ok, 1 a check failed, 2 usage or input error; any other exception
+    # escaping main is the in-process form of a traceback.  About one draw in
+    # four passes a --format its command does not render.
+    if data.draw(st.integers(0, 3)) == 0:
+        command, fmt = data.draw(st.sampled_from(_REMOVED_PAIRS))
+    else:
+        command = data.draw(st.sampled_from(tuple(_FORMAT_CHOICES)))
+        fmt = data.draw(st.sampled_from((None, *_FORMAT_CHOICES[command])))
+    n = data.draw(st.integers(1, 4) | st.integers(1, 24))
+    argv = [command, "--n", str(n)] + (["--format", fmt] if fmt else [])
+    expected = (0, 1, 2)
+    usage_error = (command, fmt) in _REMOVED_PAIRS
+    if command == "gen":
+        argv += ["--matrix", data.draw(st.sampled_from(tuple(cli._GENERATORS)))]
+    elif command == "check":
+        argv += ["--checks", data.draw(st.sampled_from(tuple(cli._CHECKS) + ("all",)))]
+    elif command == "oeis":
+        oeis_id = data.draw(st.sampled_from(GENERATED_IDS + ("A068555",)))
+        argv += ["--id", oeis_id]
+        kind = data.draw(st.sampled_from(
+            ("none", "missing", "directory", "garbage", "wellformed")))
+        signed = data.draw(st.integers(0, 3)) == 0
+        bfile = tmp_path / f"{kind}.txt"
+        if kind == "directory":
+            bfile = tmp_path
+        elif kind == "garbage":
+            bfile.write_bytes(data.draw(st.binary(max_size=64)))
+        elif kind == "wellformed":
+            generated = {}
+            if oeis_id != "A068555":
+                rec = generated_sequence(oeis_id, n)
+                generated = dict(enumerate(rec.terms, rec.offset))
+            reference = _draw_reference(data, generated)
+            lines = [f"{i} {term}\n" for i, term in reference.items()]
+            for _ in range(data.draw(st.integers(0, 3))):
+                lines.insert(data.draw(st.integers(0, len(lines))), "# a comment line\n")
+            bfile.write_text("".join(lines))
+            # the candidate readings of A068555 assert nothing
+            expected = (0,) if oeis_id == "A068555" else (_crosscheck_exit(
+                reference, generated, magnitude_only=oeis_id == "A060739" and not signed),)
+        if kind != "none":
+            argv += ["--bfile", str(bfile)]
+        if signed:
+            argv.append("--signed")
+            usage_error = usage_error or oeis_id != "A060739" or kind == "none"
+    code, out, err = _main_in_process(argv)
+    if usage_error:
+        _assert_usage_error(code, out, err)
+    else:
+        assert code in expected, (argv, err)
+    assert "Traceback" not in err
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_examples_run_in_process(tmp_path, monkeypatch):
+    # every `recpascal ...` line of the README's CLI block, from a directory
+    # holding the ref.txt it names; a rejected flag would exit 2
+    block = _README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("recpascal ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ref.txt").write_text(A000984_BFILE.read_text())
+    for line in lines:
+        code, out, err = _main_in_process(shlex.split(line, comments=True)[1:])
+        assert code in (0, 1), (line, err)
+        assert out
 
 
 def test_console_script_entry_point():
