@@ -7,15 +7,12 @@ sequence b-files), bench (race the two inversion routes).  Each takes --n
 and --output, and only the flags it reads besides: gen and invert render
 --format pretty, csv, json or bfile, det pretty or json, and check, bench
 and oeis print JSON or a b-file and take no --format; oeis --signed applies
-only with --id A060739 --bfile.  Any other flag is a usage error.
+only with --id A060739 --bfile.  Any other flag is a usage error, and so
+are --n above sys.maxsize and oeis --id A068555 with --n 1.
 
-oeis generates only the terms it prints (A007318 as the rows of Pascal's
-triangle, no square array) and parses a reference b-file with one
-regular-expression match per line, split from the text a block at a time;
-gen --format bfile takes the same generators where the matrix's reading is
+gen --format bfile takes the oeis generators where the matrix's reading is
 a catalogued sequence.  Every command computes its result before writing
-any of it, and writes b-file text a block of lines at a time: a failing
-input leaves an --output file untouched, and no whole-file string is built.
+any of it, so a failing input leaves an --output file untouched.
 
 Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage or
 input error: an unreadable, malformed or non-overlapping reference b-file,
@@ -112,6 +109,8 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be at most {sys.maxsize}, got {value}")
     return value
 
 
@@ -233,7 +232,7 @@ def _oeis_output(args: argparse.Namespace) -> tuple:
     oeis_id = args.oeis_id
     if args.bfile_path is None:
         if oeis_id == "A068555":
-            candidates = super_catalan_candidates(max(args.n, 2)).items()
+            candidates = super_catalan_candidates(args.n).items()
             return chain.from_iterable(
                 chain((f"# candidate reading: {label}\n",), emit_bfile_blocks(rec))
                 for label, rec in candidates
@@ -249,7 +248,7 @@ def _oeis_output(args: argparse.Namespace) -> tuple:
     if oeis_id == "A068555":
         # Nothing asserted: describe how each candidate reading fares.
         results = {}
-        for label, rec in super_catalan_candidates(max(args.n, 2)).items():
+        for label, rec in super_catalan_candidates(args.n).items():
             try:
                 results[label] = crosscheck(reference, rec).to_json()
             except ValueError:
@@ -359,9 +358,11 @@ def main(argv=None) -> None:
     if args.command == "oeis" and args.signed and (
             args.oeis_id != "A060739" or args.bfile_path is None):
         parser.error("--signed applies only to oeis --id A060739 --bfile FILE")
+    if args.command == "oeis" and args.oeis_id == "A068555" and args.n < 2:
+        parser.error("oeis --id A068555 needs --n 2 or more")
     # b-file read errors are reported where the file is read, so an OSError
     # reaching here is a failed write: a full device, a closed pipe, --output.
-    # --n has no ceiling, so a size too large to hold is an input error too.
+    # An --n up to sys.maxsize may still be too large to hold: an input error.
     try:
         code = run(args)
         sys.stdout.flush()

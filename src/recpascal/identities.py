@@ -17,17 +17,16 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
-from operator import mul
 
 from .combinatorics import binomial, exact_div, super_catalan
-from .linalg import leading_minors
+from .linalg import _scaled_rows, leading_minors
 from .matrices import (
     Diagonal,
     Matrix,
     d_matrix,
     from_rows,
     g_matrix,
+    identity,
     l_inverse_matrix,
     l_matrix,
     matmul,
@@ -144,27 +143,6 @@ def check_von_szily_upto(n: int) -> CheckReport:
     return CheckReport("vonszily", n, mismatch, time.perf_counter() - start)
 
 
-def _lower_identity_mismatch(l: Matrix, linv: Matrix):
-    """First entry where the lower triangular product l . linv differs from I.
-
-    Entry (i, j) with i >= j sums over k in [j, i] only, which is exact when
-    both factors vanish above their diagonals; a nonzero there is reported
-    first, as (i, j, 0, entry), since it would make those sums incomplete.
-    """
-    upper = next(((i, j, 0, x) for m in (l, linv) for i, row in enumerate(m)
-                  for j, x in enumerate(row[i + 1 :], i + 1) if x), None)
-    if upper is not None:
-        return upper
-    cols = tuple(zip(*linv))
-    for i, row in enumerate(l):
-        for j in range(i + 1):
-            x = sum(map(mul, row[j : i + 1], cols[j][j : i + 1]))
-            expected = int(i == j)
-            if x != expected:
-                return (i, j, expected, x)
-    return None
-
-
 def check_l_inverse_column(n: int) -> CheckReport:
     """First column of the triangle's inverse: a leading 1, even entries below
     it, and entrywise agreement with the alternating diagonal.  L . L^-1 = I
@@ -176,7 +154,7 @@ def check_l_inverse_column(n: int) -> CheckReport:
     linv = l_inverse_matrix(n)
     col = [row[0] for row in linv]
     d = d_matrix(n).diag
-    mismatch = _lower_identity_mismatch(l_matrix(n), linv)
+    mismatch = _first_mismatch(identity(n), matmul(l_matrix(n), linv))
     if mismatch is None:
         for i in range(1, n):
             if col[i] % 2 != 0:
@@ -260,11 +238,8 @@ def _identity_mismatch(r: Matrix, rinv: Matrix):
     Row i of R is scaled by the lcm of its denominators, so the product must
     equal diag(lcm_i); a mismatch is reported as (i, j, delta_ij, entry / lcm_i).
     """
-    lcms = [lcm(*(x.denominator for x in row)) for row in r]
-    scaled = from_rows(
-        [[x.numerator * (f // x.denominator) for x in row] for row, f in zip(r, lcms)]
-    )
-    for i, row in enumerate(matmul(scaled, rinv)):
+    scaled, lcms = _scaled_rows(r)
+    for i, row in enumerate(matmul(from_rows(scaled), rinv)):
         for j, x in enumerate(row):
             if x != (lcms[i] if i == j else 0):
                 return (i, j, int(i == j), Fraction(x, lcms[i]))

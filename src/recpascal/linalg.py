@@ -16,12 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .combinatorics import exact_div
-from .matrices import Matrix, from_rows
-
-
-def _require_square(m: Matrix) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"square matrix required, got shape {m.shape}")
+from .matrices import Matrix, _require_square, from_rows
 
 
 def _scaled_rows(m: Matrix) -> tuple[list, list]:
@@ -30,7 +25,7 @@ def _scaled_rows(m: Matrix) -> tuple[list, list]:
     rows, factors = [], []
     for row in m:
         f = lcm(*(x.denominator for x in row))
-        rows.append([int(x * f) for x in row])
+        rows.append([x.numerator * (f // x.denominator) for x in row])
         factors.append(f)
     return rows, factors
 

@@ -9,7 +9,9 @@ Generators fill rows by recurrence instead of recomputing each coefficient
 from scratch: the symmetric Pascal array by prefix sums, integer additions
 only, its reciprocal entry by entry from it, and the others by running
 products with one exact division per entry; that includes the triangle's
-inverse, which has a closed form.
+inverse, which has a closed form.  The central binomials C(2m, m) are one
+shared sequence: G's diagonal, the first column of L and of the super
+Catalan array.
 Tests pin the generated entries to the scalar kernels in combinatorics.
 """
 from __future__ import annotations
@@ -25,6 +27,20 @@ from .combinatorics import exact_div
 def _require_size(n: int) -> None:
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
+
+
+def _require_square(m) -> None:
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"square matrix required, got shape {m.shape}")
+
+
+def _central_binomials(n: int) -> list:
+    """C(2m, m) for m = 0..n-1, by C(2m, m) = C(2m-2, m-1) * 2(2m-1) / m."""
+    _require_size(n)
+    out = [1]
+    for m in range(1, n):
+        out.append(exact_div(out[-1] * 2 * (2 * m - 1), m))
+    return out
 
 
 class Matrix(tuple):
@@ -100,13 +116,8 @@ def reciprocal_pascal(n: int) -> Matrix:
 
 def super_catalan_matrix(n: int) -> Matrix:
     """Array of super Catalan numbers: entry (m, k) is (2m)!(2k)!/(m! k! (m+k)!)."""
-    _require_size(n)
     rows = []
-    start = 1
-    for m in range(n):
-        if m:
-            start = exact_div(start * 2 * (2 * m - 1), m)
-        cur = start
+    for m, cur in enumerate(_central_binomials(n)):
         row = [cur]
         for k in range(n - 1):
             cur = exact_div(cur * 2 * (2 * k + 1), m + k + 1)
@@ -117,23 +128,14 @@ def super_catalan_matrix(n: int) -> Matrix:
 
 def g_matrix(n: int) -> Diagonal:
     """Diagonal of central binomial coefficients C(2m, m)."""
-    _require_size(n)
-    diag = [1]
-    for m in range(n - 1):
-        diag.append(exact_div(diag[-1] * 2 * (2 * m + 1), m + 1))
-    return Diagonal(tuple(diag))
+    return Diagonal(_central_binomials(n))
 
 
 def l_matrix(n: int) -> Matrix:
     """Unit lower triangular array whose row m holds C(2m, m+k) at column k."""
-    _require_size(n)
     rows = []
-    start = 1
-    for m in range(n):
-        if m:
-            start = exact_div(start * 2 * (2 * m - 1), m)
+    for m, cur in enumerate(_central_binomials(n)):
         row = [0] * n
-        cur = start
         row[0] = cur
         for k in range(m):
             cur = exact_div(cur * (m - k), m + k + 1)

@@ -28,6 +28,7 @@ from .combinatorics import ExactnessError, exact_div
 from .identities import CheckReport
 from .linalg import leading_minors
 from .matrices import (
+    _require_square,
     from_rows,
     g_matrix,
     l_inverse_matrix,
@@ -130,11 +131,9 @@ def triangle_rows_sequence(m) -> list:
     Any nonzero entry above the diagonal is an error, since the reading
     would silently drop it.
     """
-    rows, cols = m.shape
-    if rows != cols:
-        raise ValueError(f"square matrix required, got shape {m.shape}")
+    _require_square(m)
     for i, row in enumerate(m):
-        for j in range(i + 1, cols):
+        for j in range(i + 1, len(row)):
             if row[j] != 0:
                 raise ValueError(f"nonzero entry above the diagonal at ({i}, {j})")
     return [x for i, row in enumerate(m) for x in row[: i + 1]]
@@ -147,10 +146,8 @@ def antidiagonal_sequence(m) -> list:
     Within an antidiagonal the row index ascends.  Antidiagonals past the
     main one would be cut by the matrix boundary, so they are left out.
     """
-    rows, cols = m.shape
-    if rows != cols:
-        raise ValueError(f"square matrix required, got shape {m.shape}")
-    return [m[i][d - i] for d in range(rows) for i in range(d + 1)]
+    _require_square(m)
+    return [m[i][d - i] for d in range(len(m)) for i in range(d + 1)]
 
 
 def det_inverse_sequence(max_n: int) -> SequenceRecord:

@@ -436,6 +436,19 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
     _assert_usage_error(*_main_in_process(argv))
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["oeis", "--id", "A068555", "--n", "1"], id="a068555-emit"),
+    pytest.param(["oeis", "--id", "A068555", "--n", "1", "--bfile", str(A000984_BFILE)],
+                 id="a068555-crosscheck"),
+    # past sys.maxsize, (1,) * n and [0] * n raise OverflowError, not MemoryError
+    pytest.param(["gen", "--matrix", "pascal", "--n", str(10**20)], id="gen-oversized"),
+    pytest.param(["invert", "--n", str(10**20)], id="invert-oversized"),
+    pytest.param(["invert", "--n", str(sys.maxsize + 1)], id="invert-maxsize-plus-1"),
+])
+def test_sizes_a_command_cannot_take_are_usage_errors(argv):
+    _assert_usage_error(*_main_in_process(argv))
+
+
 def _crosscheck_exit(reference: dict, generated: dict, magnitude_only: bool) -> int:
     """Exit code of a cross-check of {index: term} maps: 2 if no index is
     shared, else 0 if every shared term agrees, else 1."""
@@ -514,6 +527,8 @@ def test_exit_code_contract_in_process(tmp_path, data):
         if signed:
             argv.append("--signed")
             usage_error = usage_error or oeis_id != "A060739" or kind == "none"
+        # the candidate readings start at size 2
+        usage_error = usage_error or (oeis_id == "A068555" and n == 1)
     code, out, err = _main_in_process(argv)
     if usage_error:
         _assert_usage_error(code, out, err)

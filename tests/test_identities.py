@@ -168,15 +168,17 @@ def test_l_inverse_column_catches_an_error_off_column_0(data):
 
 @pytest.mark.parametrize("factor", ["l_matrix", "l_inverse_matrix"])
 def test_l_inverse_column_catches_an_entry_above_either_diagonal(factor):
-    # the product sums only over the lower triangles, so a nonzero above
-    # either factor's diagonal must be reported where it sits
+    # L . X = I is checked as a dense product, so a 3 planted at (2, 4)
+    # shows at the product's first wrong entry: in L it adds 3 X[4][0] = 6
+    # at (2, 0); in X it adds L[2][2] * 3 = 3 at (2, 4)
     n, i, j = 6, 2, 4
     entries = getattr(identities, factor)(n).tolist()
     entries[i][j] = 3
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(identities, factor, lambda n: from_rows(entries))
         rep = check_l_inverse_column(n)
-    assert rep.counterexample == (i, j, 0, 3)
+    expected = {"l_matrix": (2, 0, 0, 6), "l_inverse_matrix": (2, 4, 0, 3)}
+    assert rep.counterexample == expected[factor]
 
 
 def test_r_inverse_pinned():
