@@ -5,11 +5,12 @@ reciprocal Pascal matrix on one side, a binomial triangle against an
 alternating diagonal on the other.  Everything below is exact arithmetic;
 the asserts are real checks, not decoration.
 """
+from math import comb
+
 from recpascal import (
     check_grg,
     check_ldl,
-    check_von_szily,
-    binomial,
+    check_von_szily_upto,
     d_matrix,
     g_matrix,
     l_matrix,
@@ -68,14 +69,12 @@ m, n = 3, 2
 print(f"\nTake (m, n) = ({m}, {n}).  The alternating convolution")
 print("sum_k (-1)^k C(2m, m+k) C(2n, n-k) telescopes to S(m, n):")
 total = 0
-for k in range(-max(m, n), max(m, n) + 1):
-    term = (-1 if k & 1 else 1) * binomial(2 * m, m + k) * binomial(2 * n, n - k)
-    if term:
-        print(f"    k={k:+d}: {term:+d}")
+for k in range(-min(m, n), min(m, n) + 1):  # every other term is zero
+    term = (-1 if k & 1 else 1) * comb(2 * m, m + k) * comb(2 * n, n - k)
+    print(f"    k={k:+d}: {term:+d}")
     total += term
 print(f"    sum = {total}, S({m}, {n}) = {super_catalan(m, n)}")
-assert check_von_szily(m, n).passed
-print("\ncheck_von_szily also verifies the folded one-sided form; both")
-print("match for every pair the acceptance suite sweeps (0..40).")
+assert check_von_szily_upto(max(m, n) + 1).passed
+print("\nThe folded one-sided form is entrywise L D L^T, which check_ldl checks.")
 
 print("\nAll factorization demos passed.")

@@ -9,7 +9,6 @@ catalogued integer sequences.
 """
 from .combinatorics import (
     ExactnessError,
-    binomial,
     exact_div,
     super_catalan,
 )
@@ -36,7 +35,6 @@ from .identities import (
     check_integrality,
     check_l_inverse_column,
     check_ldl,
-    check_von_szily,
     check_von_szily_upto,
     det_comparison,
     det_r_inverse_formula,
@@ -66,12 +64,10 @@ __all__ = [
     "GENERATED_IDS",
     "SequenceRecord",
     "antidiagonal_sequence",
-    "binomial",
     "check_grg",
     "check_integrality",
     "check_l_inverse_column",
     "check_ldl",
-    "check_von_szily",
     "check_von_szily_upto",
     "crosscheck",
     "d_matrix",

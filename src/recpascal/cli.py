@@ -153,6 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signed", action="store_true",
                    help="compare signs too, for --id A060739 --bfile only")
     add_common(p)
+    # main reports oeis's cross-flag errors under this subcommand's usage line
+    p.set_defaults(oeis_parser=p)
 
     p = sub.add_parser("bench", help="race the factorization inverse against Gauss-Jordan")
     add_common(p)
@@ -353,13 +355,12 @@ def main(argv=None) -> None:
     # command-line process.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "oeis" and args.signed and (
-            args.oeis_id != "A060739" or args.bfile_path is None):
-        parser.error("--signed applies only to oeis --id A060739 --bfile FILE")
-    if args.command == "oeis" and args.oeis_id == "A068555" and args.n < 2:
-        parser.error("oeis --id A068555 needs --n 2 or more")
+    args = build_parser().parse_args(argv)
+    if args.command == "oeis":
+        if args.signed and (args.oeis_id != "A060739" or args.bfile_path is None):
+            args.oeis_parser.error("--signed applies only to oeis --id A060739 --bfile FILE")
+        if args.oeis_id == "A068555" and args.n < 2:
+            args.oeis_parser.error("oeis --id A068555 needs --n 2 or more")
     # b-file read errors are reported where the file is read, so an OSError
     # reaching here is a failed write: a full device, a closed pipe, --output.
     # An --n up to sys.maxsize may still be too large to hold: an input error.

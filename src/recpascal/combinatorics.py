@@ -1,4 +1,4 @@
-"""Exact combinatorial kernels: binomials and super Catalan numbers.
+"""Exact combinatorial kernels: checked division and super Catalan numbers.
 
 Integers are plain Python ints (arbitrary precision).  Every division
 performed here is exact and checked at runtime, so a wrong intermediate can
@@ -6,7 +6,7 @@ never round silently.
 """
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 
 
 class ExactnessError(ArithmeticError):
@@ -19,15 +19,6 @@ def exact_div(a: int, b: int) -> int:
     if r:
         raise ExactnessError(f"{a} is not divisible by {b}")
     return q
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero when k falls outside [0, n]."""
-    if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def super_catalan(m: int, n: int) -> int:

@@ -7,6 +7,10 @@ D^-1 = diag(1, -1/2, 1/2, ...) is fractional, and D' = 2 D^-1 is integer.
 So the route forms 2 R^-1 = G L^-T D' L^-1 G and halves every entry with a
 checked division; that halving is the integrality claim, checked.
 
+Von Szily's identity, the scalar form of S = L D L^T, is checked for every
+index pair as one two-sided integer product of math.comb values.  Its folded
+one-sided form is entrywise L D L^T, which check_ldl compares.
+
 Checks never raise on a mathematical failure; they return a CheckReport
 carrying the first counterexample, so callers can aggregate and serialize
 outcomes.  Genuine invariant violations (a non-integer where an integer is
@@ -17,8 +21,9 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from fractions import Fraction
+from math import comb
 
-from .combinatorics import binomial, exact_div, super_catalan
+from .combinatorics import exact_div, super_catalan
 from .linalg import _scaled_rows, leading_minors
 from .matrices import (
     Diagonal,
@@ -98,48 +103,24 @@ def check_ldl(n: int) -> CheckReport:
     return CheckReport("ldl", n, mismatch, time.perf_counter() - start)
 
 
-def check_von_szily(m: int, n: int) -> CheckReport:
-    """Alternating binomial convolution against the super Catalan value.
-
-    Both the full two-sided sum and the folded one-sided form are evaluated;
-    the report fails on whichever disagrees first.
-    """
-    if m < 0 or n < 0:
-        raise ValueError(f"indices must be nonnegative, got ({m}, {n})")
-    start = time.perf_counter()
-    expected = super_catalan(m, n)
-    bound = min(m, n)  # C(2m, m+k) C(2n, n-k) vanishes for |k| > min(m, n)
-    raw = sum(
-        _sign(k) * binomial(2 * m, m + k) * binomial(2 * n, n - k)
-        for k in range(-bound, bound + 1)
-    )
-    mismatch = None
-    if raw != expected:
-        mismatch = (m, n, expected, raw)
-    else:
-        folded = binomial(2 * m, m) * binomial(2 * n, n) + 2 * sum(
-            _sign(k) * binomial(2 * m, m + k) * binomial(2 * n, n + k)
-            for k in range(1, bound + 1)
-        )
-        if folded != expected:
-            mismatch = (m, n, expected, folded)
-    return CheckReport("vonszily", (m, n), mismatch, time.perf_counter() - start)
-
-
 def check_von_szily_upto(n: int) -> CheckReport:
-    """Every index pair below n, aggregated into a single report."""
+    """Von Szily's identity sum_j (-1)^j C(2m, m+j) C(2m', m'-j) = S(m, m')
+    for every index pair below n, as one integer product.
+
+    Row m of T holds C(2m, m+j) for j = -(n-1)..n-1, zero where |j| > m; each
+    entry is one math.comb call, so the table is independent of l_matrix.
+    The signed T times its column-reversed transpose gives every two-sided
+    sum at once, compared with the factorial-ratio super Catalan values.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
-    mismatch = None
-    for m in range(n):
-        for k in range(n):
-            sub = check_von_szily(m, k)
-            if not sub.passed:
-                mismatch = sub.counterexample
-                break
-        if mismatch is not None:
-            break
+    t = [[comb(2 * m, m + j) if -m <= j <= m else 0 for j in range(1 - n, n)]
+         for m in range(n)]
+    signed = from_rows([_sign(j) * x for j, x in enumerate(row, 1 - n)] for row in t)
+    reversed_t = from_rows(row[::-1] for row in t)
+    expected = from_rows([super_catalan(m, k) for k in range(n)] for m in range(n))
+    mismatch = _first_mismatch(expected, matmul(signed, reversed_t.T))
     return CheckReport("vonszily", n, mismatch, time.perf_counter() - start)
 
 

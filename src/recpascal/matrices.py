@@ -12,7 +12,8 @@ products with one exact division per entry; that includes the triangle's
 inverse, which has a closed form.  The central binomials C(2m, m) are one
 shared sequence: G's diagonal, the first column of L and of the super
 Catalan array.
-Tests pin the generated entries to the scalar kernels in combinatorics.
+Tests pin the generated entries to math.comb and to super_catalan's
+factorial ratio.
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from recpascal import (
     check_grg,
     check_l_inverse_column,
     check_ldl,
-    check_von_szily,
+    check_von_szily_upto,
     crosscheck,
     det_comparison,
     emit_bfile,
@@ -77,14 +77,9 @@ def test_criterion_2_both_factorizations_to_48():
 
 
 def test_criterion_3_von_szily_all_pairs_to_40():
-    failures = [
-        (m, n)
-        for m in range(41)
-        for n in range(41)
-        if not check_von_szily(m, n).passed
-    ]
-    report("criterion 3: von Szily sums (raw and folded) match for 0<=m,n<=40",
-           not failures, str(failures[:3]) if failures else "")
+    rep = check_von_szily_upto(41)
+    report("criterion 3: von Szily sums match for 0<=m,n<=40",
+           rep.passed, str(rep.counterexample) if not rep.passed else "")
 
 
 def test_criterion_4_determinant_magnitudes_and_sign_ledger():

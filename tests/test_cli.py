@@ -449,6 +449,20 @@ def test_sizes_a_command_cannot_take_are_usage_errors(argv):
     _assert_usage_error(*_main_in_process(argv))
 
 
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["oeis", "--id", "A060739", "--n", "2", "--signed"],
+                 "--signed applies only to oeis --id A060739 --bfile FILE",
+                 id="signed-without-bfile"),
+    pytest.param(["oeis", "--id", "A068555", "--n", "1"],
+                 "oeis --id A068555 needs --n 2 or more", id="a068555-emit"),
+])
+def test_oeis_cross_flag_errors_show_the_oeis_usage(argv, message):
+    code, out, err = _main_in_process(argv)
+    _assert_usage_error(code, out, err)
+    assert err.startswith("usage: recpascal oeis ")
+    assert err.endswith(f"recpascal oeis: error: {message}\n")
+
+
 def _crosscheck_exit(reference: dict, generated: dict, magnitude_only: bool) -> int:
     """Exit code of a cross-check of {index: term} maps: 2 if no index is
     shared, else 0 if every shared term agrees, else 1."""

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from recpascal import (
     ExactnessError,
-    binomial,
     exact_div,
     g_matrix,
     super_catalan,
@@ -24,36 +23,6 @@ def test_exact_div_divides():
 def test_exact_div_rejects_remainder():
     with pytest.raises(ExactnessError):
         exact_div(7, 2)
-
-
-def test_binomial_pinned_values():
-    assert binomial(4, 2) == 6
-    assert binomial(0, 0) == 1
-    assert binomial(2, 3) == 0
-    assert binomial(2, -1) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_binomial_matches_factorial_oracle_exhaustively():
-    for n in range(65):
-        for k in range(-2, n + 3):
-            assert binomial(n, k) == binomial_factorial(n, k), (n, k)
-
-
-def test_binomial_symmetry():
-    for n in range(65):
-        for k in range(n + 1):
-            assert binomial(n, k) == binomial(n, n - k)
-
-
-@given(st.integers(0, 300), st.integers(-5, 305))
-def test_binomial_matches_math_comb(n, k):
-    expected = math.comb(n, k) if 0 <= k <= n else 0
-    assert binomial(n, k) == expected
 
 
 # The central binomials C(2m, m) come from g_matrix, the production route.
@@ -76,12 +45,6 @@ def test_central_binomial_even_for_positive_m():
 @given(st.integers(1, 501))
 def test_central_binomial_even_property(n):
     assert all(c % 2 == 0 for c in g_matrix(n).diag[1:])
-
-
-def test_central_binomial_rejects_negative():
-    # C(2m, m) at m = -1 is an error, not an out-of-range zero
-    with pytest.raises(ValueError):
-        binomial(-2, -1)
 
 
 def test_super_catalan_pinned_values():
@@ -108,7 +71,7 @@ def test_super_catalan_central_binomial_quotient():
     c = g_matrix(41).diag
     for m in range(41):
         for n in range(41):
-            lhs = super_catalan(m, n) * binomial(m + n, m)
+            lhs = super_catalan(m, n) * math.comb(m + n, m)
             assert lhs == c[m] * c[n]
 
 

@@ -1,20 +1,19 @@
 """Factorization identities, the integer inverse, and determinant reports."""
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from recpascal import (
     CheckReport,
     Diagonal,
     ExactnessError,
-    binomial,
     check_grg,
     check_integrality,
     check_l_inverse_column,
     check_ldl,
-    check_von_szily,
     check_von_szily_upto,
     d_matrix,
     det_comparison,
@@ -104,23 +103,29 @@ def test_ldl_product_literally():
 
 
 def test_von_szily_base_case():
-    rep = check_von_szily(0, 0)
-    assert rep.passed and rep.n == (0, 0)
+    rep = check_von_szily_upto(1)
+    assert rep.passed and rep.n == 1
 
 
 def test_von_szily_small_terms():
     # at (1, 1) the two-sided sum is -1 + 4 - 1 = 2
-    assert check_von_szily(1, 1).passed
+    assert check_von_szily_upto(2).passed
     assert super_catalan(1, 1) == 2
 
 
 def test_von_szily_asymmetric_pair():
-    assert check_von_szily(12, 7).passed
+    # size 13 reaches the pair (12, 7) and its mirror (7, 12)
+    assert check_von_szily_upto(13).passed
 
 
-def test_von_szily_rejects_negative_indices():
+def test_von_szily_upto_rejects_empty_range():
     with pytest.raises(ValueError):
-        check_von_szily(-1, 2)
+        check_von_szily_upto(0)
+
+
+def _comb(n, k):
+    # C(n, k) with the out-of-range zeros on both sides
+    return comb(n, k) if k >= 0 else 0
 
 
 def test_von_szily_sum_stable_under_widened_range():
@@ -128,7 +133,7 @@ def test_von_szily_sum_stable_under_widened_range():
     for m, n in ((0, 0), (1, 1), (3, 5), (12, 7)):
         bound = max(m, n) + 7
         total = sum(
-            (-1 if k & 1 else 1) * binomial(2 * m, m + k) * binomial(2 * n, n - k)
+            (-1 if k & 1 else 1) * _comb(2 * m, m + k) * _comb(2 * n, n - k)
             for k in range(-bound, bound + 1)
         )
         assert total == super_catalan(m, n)
@@ -137,6 +142,29 @@ def test_von_szily_sum_stable_under_widened_range():
 def test_von_szily_upto_aggregates():
     rep = check_von_szily_upto(8)
     assert rep.passed and rep.name == "vonszily" and rep.n == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_von_szily_reports_a_planted_binomial(data):
+    # the planted T[m][j] = C(2m, m+j) enters column m of every row r >= |j|
+    # (times T[r][-j]) and row m, so the row-major scan meets it first at
+    # (|j|, m); there T[|j|][-j] = C(2|j|, |j|-j) = 1, so the entry moves
+    n = data.draw(st.integers(1, 24), label="n")
+    m = data.draw(st.integers(0, n - 1), label="m")
+    j = data.draw(st.integers(-m, m), label="j")
+    delta = data.draw(st.integers(-50, 50).filter(bool), label="delta")
+    # at m = j = 0 the planted 1 + delta enters (0, 0) squared: -1 squares to 1
+    assume(not (m == 0 and delta == -2))
+
+    def planted(a, b):
+        return comb(a, b) + (delta if (a, b) == (2 * m, m + j) else 0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "comb", planted)
+        rep = check_von_szily_upto(n)
+    assert rep.counterexample is not None
+    assert rep.counterexample[:3] == (abs(j), m, super_catalan(abs(j), m))
 
 
 def test_l_inverse_column_pinned_sizes():

@@ -1,5 +1,6 @@
 """Matrix generators against the scalar kernels, plus the matrix algebra."""
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from recpascal import (
     Diagonal,
-    binomial,
     d_matrix,
     exact_div,
     from_rows,
@@ -108,12 +108,12 @@ def test_generators_match_scalar_kernels():
         l = l_matrix(n)
         g = g_matrix(n)
         for i in range(n):
-            assert g.diag[i] == binomial(2 * i, i)
+            assert g.diag[i] == comb(2 * i, i)
             for j in range(n):
-                assert p[i][j] == binomial(i + j, i)
-                assert r[i][j] == Fraction(1, binomial(i + j, i))
+                assert p[i][j] == comb(i + j, i)
+                assert r[i][j] == Fraction(1, comb(i + j, i))
                 assert s[i][j] == super_catalan(i, j)
-                assert l[i][j] == (binomial(2 * i, i + j) if j <= i else 0)
+                assert l[i][j] == (comb(2 * i, i + j) if j <= i else 0)
 
 
 def test_pascal_matrix_matches_binomials_at_benchmark_size():
@@ -122,7 +122,7 @@ def test_pascal_matrix_matches_binomials_at_benchmark_size():
     p = pascal_matrix(n)
     assert p.shape == (n, n)
     for i, row in enumerate(p):
-        assert row == tuple(binomial(i + j, i) for j in range(n)), i
+        assert row == tuple(comb(i + j, i) for j in range(n)), i
 
 
 def test_symmetric_generators_equal_their_transpose():

@@ -10,7 +10,6 @@ from recpascal import sequences
 from recpascal import (
     SequenceRecord,
     antidiagonal_sequence,
-    binomial,
     crosscheck,
     det_comparison,
     det_inverse_sequence,
@@ -275,7 +274,7 @@ def test_sign_ledger_to_16_is_unchanged():
 
 
 def test_crosscheck_passes_on_identical_records():
-    rec = SequenceRecord("A000984", 0, tuple(binomial(2 * m, m) for m in range(10)))
+    rec = SequenceRecord("A000984", 0, tuple(comb(2 * m, m) for m in range(10)))
     rep = crosscheck(rec, rec)
     assert rep.passed and rep.n == 10 and rep.name == "crosscheck:A000984"
 
