@@ -52,7 +52,6 @@ from .sequences import (
     parse_bfile,
     sign_pattern,
     super_catalan_candidates,
-    triangle_rows_sequence,
 )
 
 __version__ = "0.1.0"
@@ -94,5 +93,4 @@ __all__ = [
     "super_catalan",
     "super_catalan_candidates",
     "super_catalan_matrix",
-    "triangle_rows_sequence",
 ]

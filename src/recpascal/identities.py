@@ -13,8 +13,10 @@ one-sided form is entrywise L D L^T, which check_ldl compares.
 
 Checks never raise on a mathematical failure; they return a CheckReport
 carrying the first counterexample, so callers can aggregate and serialize
-outcomes.  Genuine invariant violations (a non-integer where an integer is
-claimed) raise ExactnessError instead.
+outcomes; check_integrality reports an odd entry of 2 R^-1 that way.  The
+production routes, r_inverse_via_factorization here and det_inverse_sequence
+in sequences, raise ExactnessError instead when a value claimed to be an
+integer is not one.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .linalg import _scaled_rows, leading_minors
 from .matrices import (
     Diagonal,
     Matrix,
+    _require_size,
     d_matrix,
     from_rows,
     g_matrix,
@@ -43,8 +46,7 @@ from .matrices import (
 class CheckReport(namedtuple("CheckReport", "name n counterexample elapsed")):
     """Outcome of one identity check.
 
-    n is an int, or an (m, n) pair for rectangular checks.  counterexample
-    is None exactly when the check passed; otherwise it is
+    counterexample is None exactly when the check passed; otherwise it is
     (i, j, expected, actual) for the first failing location.  Scalar checks
     use location (0, 0); sequence checks put the sequence index in i.
     """
@@ -62,7 +64,7 @@ class CheckReport(namedtuple("CheckReport", "name n counterexample elapsed")):
             ce = {"i": i, "j": j, "expected": str(expected), "actual": str(actual)}
         return {
             "name": self.name,
-            "n": list(self.n) if isinstance(self.n, tuple) else self.n,
+            "n": self.n,
             "passed": self.passed,
             "counterexample": ce,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
@@ -112,8 +114,7 @@ def check_von_szily_upto(n: int) -> CheckReport:
     The signed T times its column-reversed transpose gives every two-sided
     sum at once, compared with the factorial-ratio super Catalan values.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_size(n)
     start = time.perf_counter()
     t = [[comb(2 * m, m + j) if -m <= j <= m else 0 for j in range(1 - n, n)]
          for m in range(n)]
@@ -129,8 +130,6 @@ def check_l_inverse_column(n: int) -> CheckReport:
     it, and entrywise agreement with the alternating diagonal.  L . L^-1 = I
     is checked exactly first (it pins the leading 1 at (0, 0)), so the column
     read is the true inverse's, not only the closed form's."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
     linv = l_inverse_matrix(n)
     col = [row[0] for row in linv]
@@ -174,8 +173,6 @@ def r_inverse_via_factorization(n: int) -> Matrix:
 def r_inverse_00(n: int) -> int:
     """Top-left entry of the inverse, from the closed expression
     1 + sum of column0[i]^2 / d[i]; alternates between +1 and -1 with n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     col = [row[0] for row in l_inverse_matrix(n)]
     return 1 + sum(exact_div(c * c, d) for c, d in zip(col[1:], d_matrix(n).diag[1:]))
 
@@ -183,8 +180,6 @@ def r_inverse_00(n: int) -> int:
 def det_r_inverse_formula(n: int) -> Fraction:
     """Closed-form determinant of the integer inverse, evaluated verbatim:
     (-1)^(n(n+1)/2) / 2^(n-1) times the product of squared central binomials."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     prod = 1
     for c in g_matrix(n).diag:
         prod *= c * c
@@ -235,8 +230,6 @@ def check_integrality(n: int) -> CheckReport:
     of R scaled by the lcm of its denominators.  For a square R that makes
     the checked matrix the unique inverse, so no second inversion is needed.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
     doubled = _doubled_r_inverse(n)
     mismatch = next(((i, j, "an integer entry", Fraction(x, 2))

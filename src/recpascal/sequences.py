@@ -28,6 +28,7 @@ from .combinatorics import ExactnessError, exact_div
 from .identities import CheckReport
 from .linalg import leading_minors
 from .matrices import (
+    _require_size,
     _require_square,
     from_rows,
     g_matrix,
@@ -125,17 +126,9 @@ def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
     return SequenceRecord(oeis_id, offset, terms)
 
 
-def triangle_rows_sequence(m) -> list:
-    """Flatten a square matrix by triangle rows: row i contributes columns 0..i.
-
-    Any nonzero entry above the diagonal is an error, since the reading
-    would silently drop it.
-    """
-    _require_square(m)
-    for i, row in enumerate(m):
-        for j in range(i + 1, len(row)):
-            if row[j] != 0:
-                raise ValueError(f"nonzero entry above the diagonal at ({i}, {j})")
+def _triangle_rows(m) -> list:
+    """Flatten a lower triangular matrix by rows: row i gives columns 0..i.
+    The entries above the diagonal are not read; in L and L^-1 they are zero."""
     return [x for i, row in enumerate(m) for x in row[: i + 1]]
 
 
@@ -157,8 +150,6 @@ def det_inverse_sequence(max_n: int) -> SequenceRecord:
     the largest reciprocal Pascal matrix yields every det(R_n); each term is
     1 / det(R_n), asserted to be an exact integer.
     """
-    if max_n < 1:
-        raise ValueError(f"need max_n >= 1, got {max_n}")
     terms = []
     for n, minor in enumerate(leading_minors(reciprocal_pascal(max_n)), start=1):
         d = 1 / minor
@@ -216,16 +207,17 @@ def generated_sequence(oeis_id: str, n: int) -> SequenceRecord:
     line up with the catalogued triangle readings.  For A007318 those are
     triangle rows 0..n-1, n(n+1)/2 terms, built by Pascal's rule.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    # the other readings check n where their matrix is made, but Pascal's
+    # rule would return row 0 for n = 0
+    _require_size(n)
     if oeis_id == "A000984":
         return SequenceRecord(oeis_id, 0, g_matrix(n).diag)
     if oeis_id == "A007318":
         return SequenceRecord(oeis_id, 0, chain.from_iterable(_pascal_triangle_rows(n)))
     if oeis_id == "A094527":
-        return SequenceRecord(oeis_id, 0, tuple(triangle_rows_sequence(l_matrix(n))))
+        return SequenceRecord(oeis_id, 0, _triangle_rows(l_matrix(n)))
     if oeis_id == "A110162":
-        return SequenceRecord(oeis_id, 0, tuple(triangle_rows_sequence(l_inverse_matrix(n))))
+        return SequenceRecord(oeis_id, 0, _triangle_rows(l_inverse_matrix(n)))
     if oeis_id == "A060739":
         return det_inverse_sequence(n)
     if oeis_id == "A068555":

@@ -551,6 +551,18 @@ def test_exit_code_contract_in_process(tmp_path, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("matrix,oeis_id", [("pascal", "A007318"), ("L", "A094527"),
+                                             ("Linv", "A110162"), ("G", "A000984")])
+def test_gen_bfile_prints_the_oeis_bytes_in_process(matrix, oeis_id):
+    # README: these gen readings print the same bytes as oeis --id
+    for n in range(1, 25):
+        gen = _main_in_process(["gen", "--matrix", matrix, "--n", str(n), "--format", "bfile"])
+        oeis = _main_in_process(["oeis", "--id", oeis_id, "--n", str(n)])
+        code, out, err = gen
+        assert code == 0 and out and err == "", (matrix, n, err)
+        assert gen == oeis, (matrix, n)
+
+
 _README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -1,12 +1,14 @@
 """Factorization identities, the integer inverse, and determinant reports."""
 import json
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from recpascal import (
+    GENERATED_IDS,
     CheckReport,
     Diagonal,
     ExactnessError,
@@ -17,9 +19,11 @@ from recpascal import (
     check_von_szily_upto,
     d_matrix,
     det_comparison,
+    det_inverse_sequence,
     det_r_inverse_formula,
     from_rows,
     g_matrix,
+    generated_sequence,
     identity,
     invert_rational,
     l_inverse_matrix,
@@ -64,9 +68,9 @@ def test_check_report_json_field_order():
 
 
 def test_check_report_json_counterexample():
-    rep = CheckReport("ldl", (2, 3), (0, 1, Fraction(1, 2), 3), 0.0)
+    rep = CheckReport("ldl", 2, (0, 1, Fraction(1, 2), 3), 0.0)
     obj = rep.to_json()
-    assert obj["n"] == [2, 3]
+    assert obj["n"] == 2
     assert obj["counterexample"] == {"i": 0, "j": 1, "expected": "1/2", "actual": "3"}
 
 
@@ -116,6 +120,23 @@ def test_von_szily_small_terms():
 def test_von_szily_asymmetric_pair():
     # size 13 reaches the pair (12, 7) and its mirror (7, 12)
     assert check_von_szily_upto(13).passed
+
+
+_SIZED = (check_grg, check_ldl, check_von_szily_upto, check_l_inverse_column,
+          check_integrality, r_inverse_via_factorization, r_inverse_00,
+          det_r_inverse_formula, det_comparison, det_inverse_sequence)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [pytest.param(f, id=f.__name__) for f in _SIZED]
+    + [pytest.param(partial(generated_sequence, oeis_id), id=f"generated_sequence-{oeis_id}")
+       for oeis_id in GENERATED_IDS],
+)
+@pytest.mark.parametrize("n", (0, -3))
+def test_every_sized_entry_point_rejects_sizes_below_one(entry, n):
+    with pytest.raises(ValueError):
+        entry(n)
 
 
 def test_von_szily_upto_rejects_empty_range():

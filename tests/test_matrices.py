@@ -133,12 +133,14 @@ def test_symmetric_generators_equal_their_transpose():
 
 
 def test_l_matrix_unit_lower_triangular():
-    for n in range(1, 65):
-        l = l_matrix(n)
-        for i in range(n):
-            assert l[i][i] == 1
-            for j in range(i + 1, n):
-                assert l[i][j] == 0
+    # the A094527 and A110162 readings skip the upper triangles of L and L^-1
+    for gen in (l_matrix, l_inverse_matrix):
+        for n in range(1, 65):
+            l = gen(n)
+            for i in range(n):
+                assert l[i][i] == 1, (gen.__name__, n, i)
+                for j in range(i + 1, n):
+                    assert l[i][j] == 0, (gen.__name__, n, i, j)
 
 
 def test_reciprocal_is_hadamard_inverse_of_pascal():

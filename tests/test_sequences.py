@@ -17,15 +17,11 @@ from recpascal import (
     emit_bfile,
     from_rows,
     generated_sequence,
-    identity,
-    l_inverse_matrix,
-    l_matrix,
     parse_bfile,
     pascal_matrix,
     sign_pattern,
     super_catalan,
     super_catalan_candidates,
-    triangle_rows_sequence,
 )
 
 from oracles import (
@@ -222,17 +218,6 @@ def test_round_trip_property_past_the_digit_limit(offset, small, huge):
     assert sys.get_int_max_str_digits() == before
 
 
-def test_triangle_reading_pinned():
-    assert triangle_rows_sequence(identity(2)) == [1, 0, 1]
-    assert triangle_rows_sequence(l_matrix(3)) == [1, 2, 1, 6, 4, 1]
-    assert triangle_rows_sequence(l_inverse_matrix(3)) == [1, -2, 1, 2, -4, 1]
-
-
-def test_triangle_reading_rejects_hidden_entries():
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        triangle_rows_sequence(pascal_matrix(3))
-
-
 def test_antidiagonal_reading_pinned():
     assert antidiagonal_sequence(from_rows([[1, 1], [1, 2]])) == [1, 1, 1]
     assert antidiagonal_sequence(pascal_matrix(3)) == [1, 1, 1, 1, 2, 1]
@@ -242,8 +227,6 @@ def test_antidiagonal_reading_pinned():
 
 
 def test_readings_reject_non_square():
-    with pytest.raises(ValueError):
-        triangle_rows_sequence(from_rows([[1, 0, 0], [1, 1, 0]]))
     with pytest.raises(ValueError):
         antidiagonal_sequence(from_rows([[1, 2, 3]]))
 
@@ -395,8 +378,8 @@ def test_super_catalan_candidates_rejects_tiny_sizes():
 
 
 def test_triangle_prefix_nesting():
-    prev = []
+    prev = ()
     for n in range(1, 21):
-        cur = triangle_rows_sequence(l_matrix(n))
+        cur = generated_sequence("A094527", n).terms
         assert cur[: len(prev)] == prev
         prev = cur
