@@ -126,23 +126,18 @@ def check_von_szily_upto(n: int) -> CheckReport:
 
 
 def check_l_inverse_column(n: int) -> CheckReport:
-    """First column of the triangle's inverse: a leading 1, even entries below
-    it, and entrywise agreement with the alternating diagonal.  L . L^-1 = I
-    is checked exactly first (it pins the leading 1 at (0, 0)), so the column
-    read is the true inverse's, not only the closed form's."""
+    """First column of the triangle's inverse against the alternating diagonal.
+
+    L . L^-1 = I is checked exactly first (it pins the leading 1 at (0, 0)),
+    so the column read is the true inverse's, not only the closed form's.
+    Every entry of D below the leading 1 is +-2, so equality with D's
+    diagonal is the parity claim: column 0 is even below its 1."""
     start = time.perf_counter()
     linv = l_inverse_matrix(n)
-    col = [row[0] for row in linv]
-    d = d_matrix(n).diag
     mismatch = _first_mismatch(identity(n), matmul(l_matrix(n), linv))
     if mismatch is None:
-        for i in range(1, n):
-            if col[i] % 2 != 0:
-                mismatch = (i, 0, "an even value", col[i])
-                break
-            if col[i] != d[i]:
-                mismatch = (i, 0, d[i], col[i])
-                break
+        d = from_rows([x] for x in d_matrix(n).diag)
+        mismatch = _first_mismatch(d, from_rows([row[0]] for row in linv))
     return CheckReport("parity", n, mismatch, time.perf_counter() - start)
 
 
@@ -208,27 +203,14 @@ def det_comparison(n: int) -> dict:
     }
 
 
-def _identity_mismatch(r: Matrix, rinv: Matrix):
-    """First entry where R . rinv differs from the identity, checked in ints.
-
-    Row i of R is scaled by the lcm of its denominators, so the product must
-    equal diag(lcm_i); a mismatch is reported as (i, j, delta_ij, entry / lcm_i).
-    """
-    scaled, lcms = _scaled_rows(r)
-    for i, row in enumerate(matmul(from_rows(scaled), rinv)):
-        for j, x in enumerate(row):
-            if x != (lcms[i] if i == j else 0):
-                return (i, j, int(i == j), Fraction(x, lcms[i]))
-    return None
-
-
 def check_integrality(n: int) -> CheckReport:
     """Factorization inverse is all-integer, multiplies back to the identity,
     and agrees with the closed expression at (0, 0).
 
-    The product R . R^-1 = I is checked exactly in plain ints, with each row
-    of R scaled by the lcm of its denominators.  For a square R that makes
-    the checked matrix the unique inverse, so no second inversion is needed.
+    The product R . R^-1 = I is formed exactly in plain ints, with each row
+    of R scaled by the lcm of its denominators; row i of that product is
+    divided by its lcm and compared with I.  For a square R that makes the
+    checked matrix the unique inverse, so no second inversion is needed.
     """
     start = time.perf_counter()
     doubled = _doubled_r_inverse(n)
@@ -236,7 +218,10 @@ def check_integrality(n: int) -> CheckReport:
                      for i, row in enumerate(doubled) for j, x in enumerate(row) if x % 2), None)
     if mismatch is None:
         rinv = _halve(doubled)
-        mismatch = _identity_mismatch(reciprocal_pascal(n), rinv)
+        scaled, lcms = _scaled_rows(reciprocal_pascal(n))
+        product = matmul(from_rows(scaled), rinv)
+        mismatch = _first_mismatch(identity(n), from_rows(
+            [Fraction(x, f) for x in row] for f, row in zip(lcms, product)))
         if mismatch is None:
             closed = r_inverse_00(n)
             if rinv[0][0] != closed:

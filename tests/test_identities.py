@@ -139,11 +139,6 @@ def test_every_sized_entry_point_rejects_sizes_below_one(entry, n):
         entry(n)
 
 
-def test_von_szily_upto_rejects_empty_range():
-    with pytest.raises(ValueError):
-        check_von_szily_upto(0)
-
-
 def _comb(n, k):
     # C(n, k) with the out-of-range zeros on both sides
     return comb(n, k) if k >= 0 else 0
@@ -213,6 +208,21 @@ def test_l_inverse_column_catches_an_error_off_column_0(data):
         mp.setattr(identities, "l_inverse_matrix", lambda n: from_rows(linv))
         rep = check_l_inverse_column(n)
     assert rep.counterexample == (i, j, 0, 2)
+
+
+def test_l_inverse_column_compares_column_0_with_d(monkeypatch):
+    # L . L^-1 = I holds, so only column 0 against D's diagonal sees the 4
+    monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((1, -2, 4, -2)))
+    assert check_l_inverse_column(4).counterexample == (2, 0, 4, 2)
+
+
+def test_l_inverse_column_reports_an_odd_entry_against_d(monkeypatch):
+    # a consistent pair whose column 0 is odd below the 1: equality with
+    # D's -2 is the parity claim, so the report names D's entry
+    monkeypatch.setattr(identities, "l_matrix", lambda n: from_rows([[1, 0], [1, 1]]))
+    monkeypatch.setattr(identities, "l_inverse_matrix",
+                        lambda n: from_rows([[1, 0], [-1, 1]]))
+    assert check_l_inverse_column(2).counterexample == (1, 0, -2, -1)
 
 
 @pytest.mark.parametrize("factor", ["l_matrix", "l_inverse_matrix"])
