@@ -208,9 +208,10 @@ def check_integrality(n: int) -> CheckReport:
     and agrees with the closed expression at (0, 0).
 
     The product R . R^-1 = I is formed exactly in plain ints, with each row
-    of R scaled by the lcm of its denominators; row i of that product is
-    divided by its lcm and compared with I.  For a square R that makes the
-    checked matrix the unique inverse, so no second inversion is needed.
+    of R scaled by the lcm of its denominators, and compared with
+    diag(lcm_i); only a mismatching entry is divided back by its row's lcm
+    to report the entry of R . R^-1.  For a square R that makes the checked
+    matrix the unique inverse, so no second inversion is needed.
     """
     start = time.perf_counter()
     doubled = _doubled_r_inverse(n)
@@ -220,9 +221,12 @@ def check_integrality(n: int) -> CheckReport:
         rinv = _halve(doubled)
         scaled, lcms = _scaled_rows(reciprocal_pascal(n))
         product = matmul(from_rows(scaled), rinv)
-        mismatch = _first_mismatch(identity(n), from_rows(
-            [Fraction(x, f) for x in row] for f, row in zip(lcms, product)))
-        if mismatch is None:
+        mismatch = _first_mismatch(
+            from_rows([f * (i == j) for j in range(n)] for i, f in enumerate(lcms)), product)
+        if mismatch is not None:
+            i, j, _, x = mismatch
+            mismatch = (i, j, int(i == j), Fraction(x, lcms[i]))
+        else:
             closed = r_inverse_00(n)
             if rinv[0][0] != closed:
                 mismatch = (0, 0, closed, rinv[0][0])

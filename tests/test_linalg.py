@@ -1,5 +1,6 @@
 """Exact determinants and inverses against slow independent oracles."""
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from recpascal import (
     invert_rational,
     leading_minors,
     matmul,
+    r_inverse_via_factorization,
     reciprocal_pascal,
 )
 
@@ -217,6 +219,53 @@ def test_invert_singular_reports_rank():
         invert_rational(from_rows([[1, 1], [1, 1]]))
     with pytest.raises(ValueError, match="rank 0 of 2"):
         invert_rational(from_rows([[0, 0], [0, 0]]))
+
+
+@st.composite
+def singular_rational_matrices(draw):
+    """Square rational matrices, n = 1..6, with zeros drawn often, made
+    singular by setting one column to a combination of the columns before
+    it (an all-zero column when it is the first or every weight is 0)."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    )
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    c = draw(st.integers(0, n - 1))
+    weights = draw(st.lists(entry, min_size=c, max_size=c))
+    for row in rows:
+        row[c] = sum((w * x for w, x in zip(weights, row)), Fraction(0))
+    return rows
+
+
+@settings(deadline=None)
+@given(singular_rational_matrices())
+def test_invert_singular_reports_the_independent_leading_columns(entries):
+    # the rank named is the smallest c whose first c + 1 columns are
+    # dependent: every (c + 1)-row minor of them is zero
+    m = from_rows(entries)
+    n = len(entries)
+    rank = next(
+        c for c in range(n)
+        if all(det_cofactor(from_rows([m[i][:c + 1] for i in chosen])) == 0
+               for chosen in combinations(range(n), c + 1))
+    )
+    with pytest.raises(ValueError, match=f"stalled at rank {rank} of {n}$"):
+        invert_rational(m)
+
+
+def test_invert_swaps_rows_on_large_entries():
+    # R with its rows reversed pivots in place at every column.  The block
+    # diagonal pair of R with its rows reversed has zeros down the first n
+    # columns of its first n rows, so each of those columns swaps.  Its
+    # inverse is the pair's inverse with the columns reversed.
+    for n in range(1, 13):
+        r, rinv = reciprocal_pascal(n), r_inverse_via_factorization(n)
+        pad = (0,) * n
+        pair = from_rows([row + pad for row in r] + [pad + row for row in r])
+        pair_inv = from_rows([row + pad for row in rinv] + [pad + row for row in rinv])
+        assert invert_rational(from_rows(pair[::-1])) == from_rows(
+            row[::-1] for row in pair_inv), n
 
 
 def test_invert_rejects_non_square():
