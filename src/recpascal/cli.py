@@ -22,6 +22,7 @@ gen output is deterministic byte for byte.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -313,6 +314,24 @@ def bench(n: int) -> dict:
     }
 
 
+def _write_stdout(pieces) -> None:
+    """Write every piece to stdout.  When stdout is unbuffered (python -u,
+    PYTHONUNBUFFERED), its binary layer is a raw file: one write may take
+    only part of a piece, as when a pipe's reader closes it, and the text
+    layer drops the count.  There each piece's bytes are written until all
+    are taken, so a closed pipe raises OSError on the next write."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.writelines(pieces)
+        return
+    out.flush()
+    for piece in pieces:
+        data = memoryview(piece.encode(out.encoding, out.errors))
+        while data:
+            data = data[raw.write(data):]
+
+
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code.
 
@@ -345,7 +364,7 @@ def run(args: argparse.Namespace) -> int:
         with args.output_path.open("w") as out:
             out.writelines(pieces)
     else:
-        sys.stdout.writelines(pieces)
+        _write_stdout(pieces)
     return code
 
 

@@ -12,9 +12,12 @@ the square array, whose unread lower-right part holds the largest values.
 
 b-file text moves through fixed-size blocks in both directions: emit yields
 a record's text a thousand lines at a time, so a writer never holds the
-whole file as one string, and parse splits its input into slices of about
-64 KiB that end just after a newline, so no list of every line is held
-beside the text.
+whole file as one string, and parse reads its input in slices of about
+32 KiB that end just after a newline, so no list of every line is held
+beside the text.  Each slice's leading run of plain records, two ASCII
+integer fields to a line padded only with spaces and tabs, is converted in
+bulk; every other line, and a run whose indices break or whose fields
+fail int(), is read line by line, the only reading that skips or raises.
 """
 from __future__ import annotations
 
@@ -44,13 +47,19 @@ GENERATED_IDS = ("A000984", "A007318", "A094527", "A110162", "A060739")
 # Matched against the raw line: re's \s and str.strip() share one Unicode
 # whitespace test, so this equals a fullmatch of the stripped line.
 _LINE = re.compile(r"\s*(-?[0-9]+)\s+(-?[0-9]+)\s*")
+# A run of plain records: lines of two fields padded only with ASCII spaces
+# and tabs, each ended by "\n" or "\r\n".  Such a line is one splitlines()
+# line that _LINE matches, and str.split() yields exactly its two fields.
+# Used with match, never fullmatch: a fullmatch failing on a slice's last
+# line would backtrack through every line before it.
+_RUN = re.compile(r"(?:[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*\r?\n)+")
 
 # Block sizes are constants, not parameters: a block's memory grows with the
 # digits per term, and no caller needs another size.
 #: Lines per block of emitted b-file text.
 _EMIT_LINES = 1000
 #: Characters after which a parse slice ends, just after the next newline.
-_PARSE_CHARS = 1 << 16
+_PARSE_CHARS = 1 << 15
 
 
 class SequenceRecord(namedtuple("SequenceRecord", "oeis_id offset terms")):
@@ -79,16 +88,31 @@ def emit_bfile(rec: SequenceRecord) -> str:
     return "".join(emit_bfile_blocks(rec))
 
 
-def _line_blocks(text: str):
-    """Yield text.splitlines() in blocks: the lines of consecutive slices of
-    about _PARSE_CHARS characters.  Each slice but the last ends just after a
-    "\n", which always ends a line, even as the second half of "\r\n", so
-    the blocks chain to the lines of the whole text."""
+def _slices(text: str):
+    """Yield consecutive slices of text of about _PARSE_CHARS characters.
+    Each slice but the last ends just after a "\n", which always ends a
+    line, even as the second half of "\r\n", so the lines of the slices
+    chain to text.splitlines()."""
     start = 0
     while start < len(text):
         cut = text.find("\n", start + _PARSE_CHARS) + 1 or len(text)
-        yield text[start:cut].splitlines()
+        yield text[start:cut]
         start = cut
+
+
+def _read_run(run: str, prev):
+    """A run of plain records read in bulk: its (indices, values) as ints,
+    or None when a field fails int() or the indices do not count up from
+    prev + 1 (from any start when prev is None)."""
+    try:
+        fields = list(map(int, run.split()))
+    except ValueError:
+        return None
+    indices = fields[0::2]
+    first = indices[0] if prev is None else prev + 1
+    if indices != list(range(first, first + len(indices))):
+        return None
+    return indices, fields[1::2]
 
 
 def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
@@ -96,31 +120,49 @@ def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
 
     Both fields are an optional '-' followed by ASCII digits (int() alone
     would take '+5', '1_0' and non-ASCII digits), and indices must be
-    consecutive.  Lines are split from the text a slice at a time, so no
-    list of every line is held.  Each line takes one regular-expression
-    match; only a line that fails it is tested for being blank or a
-    comment.  Malformed or out-of-order lines raise ValueError naming the
-    offending line number; a field past the interpreter's int <-> str
-    digit limit raises the interpreter's own ValueError.
+    consecutive.  The text is read a slice at a time, so no list of every
+    line is held.  Each slice's leading run of plain records (_RUN) is read
+    in bulk: one split, one map(int, ...) and one comparison of its indices
+    with the range they must count.  The rest of the slice, or the whole of
+    it when the run's indices break or a field fails int(), goes line by
+    line: one regular-expression match per line, and only a line that
+    fails it is tested for being blank or a comment.  Malformed or
+    out-of-order lines raise ValueError naming the offending line number;
+    a field past the interpreter's int <-> str digit limit raises the
+    interpreter's own ValueError.  Only the line-by-line reading skips or
+    raises, so the bulk reading changes no record and no error.
     """
     offset = 0
     prev = None
     terms = []
-    for lineno, line in enumerate(chain.from_iterable(_line_blocks(text)), start=1):
-        match = _LINE.fullmatch(line)
-        if match is None:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
-        idx, value = match.groups()
-        idx = int(idx)
-        if prev is None:
-            offset = idx
-        elif idx != prev + 1:
-            raise ValueError(f"line {lineno}: index {idx} does not follow {prev}")
-        prev = idx
-        terms.append(int(value))
+    lineno = 0
+    for chunk in _slices(text):
+        run = _RUN.match(chunk)
+        bulk = run and _read_run(run.group(), prev)
+        if bulk:
+            indices, values = bulk
+            if prev is None:
+                offset = indices[0]
+            prev = indices[-1]
+            terms += values
+            lineno += len(indices)
+            chunk = chunk[run.end():]
+        # the loop rebinds lineno, so it ends at the slice's last line number
+        for lineno, line in enumerate(chunk.splitlines(), start=lineno + 1):
+            match = _LINE.fullmatch(line)
+            if match is None:
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
+            idx, value = match.groups()
+            idx = int(idx)
+            if prev is None:
+                offset = idx
+            elif idx != prev + 1:
+                raise ValueError(f"line {lineno}: index {idx} does not follow {prev}")
+            prev = idx
+            terms.append(int(value))
     if not terms:
         raise ValueError("no terms found")
     return SequenceRecord(oeis_id, offset, terms)

@@ -335,6 +335,49 @@ def test_broken_pipe_mid_stream_exits_2_in_process(monkeypatch, capsys):
     assert capsys.readouterr().err == "recpascal: cannot write output: [Errno 32] Broken pipe\n"
 
 
+def _unbuffered_env(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
+
+
+@pytest.mark.parametrize("argv", [
+    # each output is one piece of text, of 4.8 MB and 1.4 MB
+    ["invert", "--n", "160", "--format", "csv"],
+    ["gen", "--matrix", "Rinv", "--n", "160", "--format", "json"],
+    # 81 blocks of b-file text
+    ["oeis", "--id", "A007318", "--n", "400"],
+], ids=["invert", "gen", "oeis"])
+def test_pipe_closed_by_its_reader_exits_2_unbuffered(argv):
+    # unbuffered, stdout's binary layer is a raw file: the write cut short by
+    # the closed pipe returns a short count, which must not pass for success
+    proc = subprocess.Popen([sys.executable, "-m", "recpascal", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_unbuffered_env(True))
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == "recpascal: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--n", "12", "--format", "pretty"],
+    ["gen", "--matrix", "Rinv", "--n", "40", "--format", "json"],
+    ["oeis", "--id", "A007318", "--n", "64"],
+], ids=["invert", "gen", "oeis"])
+def test_stdout_bytes_do_not_depend_on_buffering(argv):
+    outputs = [subprocess.run([sys.executable, "-m", "recpascal", *argv],
+                              capture_output=True, env=_unbuffered_env(unbuffered))
+               for unbuffered in (False, True)]
+    assert [res.returncode for res in outputs] == [0, 0]
+    assert outputs[0].stdout == outputs[1].stdout != b""
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--matrix", "pascal", "--n", "5"],
     ["oeis", "--id", "A007318", "--n", "5"],

@@ -99,6 +99,8 @@ _ANY = st.text("0123456789- \t\r\u00a0\u0663_+#", max_size=10)
 _TERMINATOR = st.sampled_from(
     ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"))
 _BLOCK_SIZE = st.integers(1, 16)
+# a parse slice of 64 KiB takes each drawn text whole
+_PARSE_BLOCK = _BLOCK_SIZE | st.just(1 << 16)
 
 
 @st.composite
@@ -134,7 +136,7 @@ def _parse_outcome(parse, text):
 
 
 @settings(max_examples=300)
-@given(_bfile_texts(), _BLOCK_SIZE)
+@given(_bfile_texts(), _PARSE_BLOCK)
 def test_parse_matches_the_line_by_line_reader(text, block_chars):
     # one pattern match on the raw line must read every line, blank,
     # comment, record or malformed, as stripping and splitting it does; a
@@ -144,6 +146,71 @@ def test_parse_matches_the_line_by_line_reader(text, block_chars):
         mp.setattr(sequences, "_PARSE_CHARS", block_chars)
         outcome = _parse_outcome(parse_bfile, text)
     assert outcome == _parse_outcome(parse_bfile_by_fields, text)
+
+
+#: One defect per long text: each either breaks the record it replaces or
+#: is a line only the line-by-line reading takes.
+_DEFECTS = ("index gap", "index repeat", "+5", "1_0", "\u0663", "third field",
+            "comment", "blank line", "\u00a0 pad", "lone \\r")
+
+
+@st.composite
+def _long_bfile_texts(draw):
+    """Up to 60 records of two plain integer fields padded with spaces and
+    tabs, every line ended by one drawn "\n" or "\r\n", with one defect
+    at a drawn line."""
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    first = draw(st.integers(-3, 3))
+    values = draw(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=60))
+    pad = st.text(" \t", max_size=2)
+    lines = [draw(pad) + str(first + k) + draw(pad) + " " + str(v) + draw(pad)
+             for k, v in enumerate(values)]
+    ends = [end] * len(lines)
+    at = draw(st.integers(0, len(lines) - 1))
+    idx, defect = first + at, draw(st.sampled_from(_DEFECTS))
+    if defect in ("index gap", "index repeat"):
+        lines[at] = f"{idx + 1 if defect == 'index gap' else idx - 1} {values[at]}"
+    elif defect in ("+5", "1_0", "\u0663"):
+        lines[at] = f"{idx} {defect}"
+    elif defect == "third field":
+        lines[at] += " 7"
+    elif defect in ("comment", "blank line"):
+        lines.insert(at, "# comment" if defect == "comment" else "")
+        ends.insert(at, end)
+    elif defect == "\u00a0 pad":
+        lines[at] += "\u00a0"
+    else:
+        ends[at] = "\r"
+    return "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_long_bfile_texts(), st.data())
+def test_bulk_runs_read_as_the_line_by_line_reader(text, data):
+    # runs of plain records are read in bulk up to the defect, which only
+    # the line-by-line reading may skip or report; slices from one
+    # character up to past the whole text put the defect at every place in
+    # a run, and start runs at every line
+    block_chars = data.draw(st.integers(1, len(text) + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_PARSE_CHARS", block_chars)
+        outcome = _parse_outcome(parse_bfile, text)
+    assert outcome == _parse_outcome(parse_bfile_by_fields, text)
+
+
+def test_a_digit_limit_error_precedes_a_later_index_gap():
+    # one clean run: line 3's value is past the default 4300-digit int <->
+    # str limit and line 4's index breaks the count; converting the run in
+    # bulk must not report the later error first
+    text = "0 1\n1 2\n2 " + "9" * 5000 + "\n4 5\n5 6\n"
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        outcome = _parse_outcome(parse_bfile, text)
+        assert outcome == _parse_outcome(parse_bfile_by_fields, text)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert outcome.startswith("Exceeds the limit") and "5000 digits" in outcome
 
 
 @given(st.data(), _BLOCK_SIZE)
