@@ -11,7 +11,7 @@ from pathlib import Path
 from recpascal import (
     GENERATED_IDS,
     crosscheck,
-    emit_bfile,
+    emit_bfile_blocks,
     generated_sequence,
     parse_bfile,
     sign_pattern,
@@ -26,7 +26,7 @@ for oeis_id in GENERATED_IDS:
 
 print("\nA b-file is just 'index value' lines.  Emit and re-parse one:")
 rec = generated_sequence("A110162", 3)
-text = emit_bfile(rec)
+text = "".join(emit_bfile_blocks(rec))
 print("    " + "    ".join(text.splitlines(True)), end="")
 assert parse_bfile(text, oeis_id=rec.oeis_id) == rec
 print("    -> parses back to an identical record.")

@@ -47,7 +47,7 @@ from .sequences import (
     antidiagonal_sequence,
     crosscheck,
     det_inverse_sequence,
-    emit_bfile,
+    emit_bfile_blocks,
     generated_sequence,
     parse_bfile,
     sign_pattern,
@@ -73,7 +73,7 @@ __all__ = [
     "det_comparison",
     "det_inverse_sequence",
     "det_r_inverse_formula",
-    "emit_bfile",
+    "emit_bfile_blocks",
     "exact_div",
     "from_rows",
     "g_matrix",

@@ -13,7 +13,7 @@ the square array, whose unread lower-right part holds the largest values.
 b-file text moves through fixed-size blocks in both directions: emit yields
 a record's text a thousand lines at a time, so a writer never holds the
 whole file as one string, and parse reads its input in slices of about
-32 KiB that end just after a newline, so no list of every line is held
+32 KiB that end just after a line end, so no list of every line is held
 beside the text.  Each slice's leading run of plain records, two ASCII
 integer fields to a line padded only with spaces and tabs, is converted in
 bulk; every other line, and a run whose indices break or whose fields
@@ -27,17 +27,16 @@ from collections import namedtuple
 from itertools import chain, compress
 from operator import add, ne
 
-from .combinatorics import ExactnessError, exact_div
+from .combinatorics import exact_div
 from .identities import CheckReport
-from .linalg import leading_minors
 from .matrices import (
     _require_size,
     _require_square,
+    d_matrix,
     from_rows,
     g_matrix,
     l_inverse_matrix,
     l_matrix,
-    reciprocal_pascal,
     super_catalan_matrix,
 )
 
@@ -83,19 +82,16 @@ def emit_bfile_blocks(rec: SequenceRecord):
         yield "".join([f"{i} {t}\n" for i, t in enumerate(block, rec.offset + start)])
 
 
-def emit_bfile(rec: SequenceRecord) -> str:
-    """Render a record as b-file text, one "index value" pair per line."""
-    return "".join(emit_bfile_blocks(rec))
-
-
 def _slices(text: str):
     """Yield consecutive slices of text of about _PARSE_CHARS characters.
     Each slice but the last ends just after a "\n", which always ends a
-    line, even as the second half of "\r\n", so the lines of the slices
-    chain to text.splitlines()."""
+    line, even as the second half of "\r\n", or, where no "\n" follows,
+    just after a "\r", which then cannot be the first half of "\r\n"; so
+    the lines of the slices chain to text.splitlines()."""
     start = 0
     while start < len(text):
-        cut = text.find("\n", start + _PARSE_CHARS) + 1 or len(text)
+        pos = start + _PARSE_CHARS
+        cut = text.find("\n", pos) + 1 or text.find("\r", pos) + 1 or len(text)
         yield text[start:cut]
         start = cut
 
@@ -188,16 +184,16 @@ def antidiagonal_sequence(m) -> list:
 def det_inverse_sequence(max_n: int) -> SequenceRecord:
     """Determinants of the integer inverse for sizes 1..max_n, indexed by size.
 
-    R_n is the leading block of R_max_n, so one primitive-row elimination of
-    the largest reciprocal Pascal matrix yields every det(R_n); each term is
-    1 / det(R_n), asserted to be an exact integer.
+    R^-1 = G L^-T D^-1 L^-1 G with det L = 1, so det(R_n^-1) is the running
+    product of C(2m, m)^2 / d_m over m < n.  Each step is one checked
+    division: C(2m, m) is even for m >= 1 and d_m = +-2.  The leading minors
+    of R, which det_comparison reads, stay the independent oracle.
     """
     terms = []
-    for n, minor in enumerate(leading_minors(reciprocal_pascal(max_n)), start=1):
-        d = 1 / minor
-        if d.denominator != 1:
-            raise ExactnessError(f"determinant for size {n} is not an integer: {d}")
-        terms.append(int(d))
+    det = 1
+    for c, d in zip(g_matrix(max_n).diag, d_matrix(max_n).diag):
+        det = exact_div(det * c * c, d)
+        terms.append(det)
     return SequenceRecord("A060739", 1, tuple(terms))
 
 

@@ -140,8 +140,9 @@ def is_right_inverse(m, x) -> bool:
 
 
 def det_r_inverse_gauss_jordan(n: int) -> Fraction:
-    """det(R^-1) by Bareiss on the Gauss-Jordan inverse of R: the inversion
-    that the one-pass leading-minor route makes unnecessary."""
+    """det(R^-1) by Bareiss on the Gauss-Jordan inverse of R: a third route,
+    an inversion and then a determinant, beside the factor product of
+    det_inverse_sequence and the leading minors that det_comparison reads."""
     return det_bareiss(invert_rational(reciprocal_pascal(n)))
 
 

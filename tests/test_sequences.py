@@ -14,11 +14,13 @@ from recpascal import (
     det_comparison,
     det_inverse_sequence,
     det_r_inverse_formula,
-    emit_bfile,
+    emit_bfile_blocks,
     from_rows,
     generated_sequence,
+    leading_minors,
     parse_bfile,
     pascal_matrix,
+    reciprocal_pascal,
     sign_pattern,
     super_catalan,
     super_catalan_candidates,
@@ -61,12 +63,12 @@ def test_record_is_an_immutable_value():
 
 def test_emit_pinned():
     rec = SequenceRecord("X", 5, (10, -20, 30))
-    assert emit_bfile(rec) == "5 10\n6 -20\n7 30\n"
+    assert "".join(emit_bfile_blocks(rec)) == "5 10\n6 -20\n7 30\n"
 
 
 def test_parse_round_trip():
     rec = SequenceRecord("A060739", 1, (1, -2, -36))
-    again = parse_bfile(emit_bfile(rec), oeis_id="A060739")
+    again = parse_bfile("".join(emit_bfile_blocks(rec)), oeis_id="A060739")
     assert again == rec
 
 
@@ -151,14 +153,14 @@ def test_parse_matches_the_line_by_line_reader(text, block_chars):
 #: One defect per long text: each either breaks the record it replaces or
 #: is a line only the line-by-line reading takes.
 _DEFECTS = ("index gap", "index repeat", "+5", "1_0", "\u0663", "third field",
-            "comment", "blank line", "\u00a0 pad", "lone \\r")
+            "comment", "blank line", "\u00a0 pad", "lone \\r", "lone \\r tail")
 
 
 @st.composite
 def _long_bfile_texts(draw):
     """Up to 60 records of two plain integer fields padded with spaces and
     tabs, every line ended by one drawn "\n" or "\r\n", with one defect
-    at a drawn line."""
+    at a drawn line (for a lone "\r" tail, from that line on)."""
     end = draw(st.sampled_from(("\n", "\r\n")))
     first = draw(st.integers(-3, 3))
     values = draw(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=60))
@@ -179,9 +181,23 @@ def _long_bfile_texts(draw):
         ends.insert(at, end)
     elif defect == "\u00a0 pad":
         lines[at] += "\u00a0"
-    else:
+    elif defect == "lone \\r":
         ends[at] = "\r"
+    else:
+        # no "\n" after the drawn line: slices there end after a lone "\r"
+        ends[at:] = ["\r"] * (len(ends) - at)
     return "".join(map(str.__add__, lines, ends))
+
+
+def test_lone_cr_text_is_sliced_and_read_as_the_line_by_line_reader():
+    # lone "\r" line ends only: a slice ends after a "\r" where no "\n"
+    # follows, so the text is read in many slices, not as one
+    text = "".join(f"{k} {k * k}\r" for k in range(1, 5000))
+    assert len(text) > sequences._PARSE_CHARS
+    slices = list(sequences._slices(text))
+    assert len(slices) > 1 and "".join(slices) == text
+    assert all(piece.endswith("\r") for piece in slices)
+    assert parse_bfile(text, oeis_id="T") == parse_bfile_by_fields(text, oeis_id="T")
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,9 +239,8 @@ def test_emit_blocks_join_to_one_line_per_term(data, block_lines):
                        for k, t in enumerate(terms))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "_EMIT_LINES", block_lines)
-        blocks = list(sequences.emit_bfile_blocks(rec))
-        text = emit_bfile(rec)
-    assert "".join(blocks) == text == expected
+        blocks = list(emit_bfile_blocks(rec))
+    assert "".join(blocks) == expected
     assert [block.count("\n") for block in blocks[:-1]] == [block_lines] * (len(blocks) - 1)
     assert 1 <= blocks[-1].count("\n") <= block_lines
 
@@ -250,7 +265,7 @@ def test_round_trip_100_randomized_records():
             rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 40))
         )
         rec = SequenceRecord("T", offset, terms)
-        assert parse_bfile(emit_bfile(rec), oeis_id="T") == rec
+        assert parse_bfile("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
 
 
 @given(
@@ -259,7 +274,7 @@ def test_round_trip_100_randomized_records():
 )
 def test_round_trip_property(offset, terms):
     rec = SequenceRecord("T", offset, tuple(terms))
-    assert parse_bfile(emit_bfile(rec), oeis_id="T") == rec
+    assert parse_bfile("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
 
 
 _huge_terms = st.builds(
@@ -281,7 +296,7 @@ def test_round_trip_property_past_the_digit_limit(offset, small, huge):
     before = sys.get_int_max_str_digits()
     rec = SequenceRecord("T", offset, tuple(small) + tuple(huge))
     with unlimited_int_digits():
-        assert parse_bfile(emit_bfile(rec), oeis_id="T") == rec
+        assert parse_bfile("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
     assert sys.get_int_max_str_digits() == before
 
 
@@ -315,6 +330,15 @@ def test_det_inverse_sequence_matches_formula_magnitudes():
 def test_det_inverse_sequence_matches_gauss_jordan_composition():
     rec = det_inverse_sequence(16)
     assert rec.terms == tuple(det_r_inverse_gauss_jordan(n) for n in range(1, 17))
+
+
+def test_det_inverse_sequence_matches_the_leading_minor_oracle_to_96():
+    # the factor product against the elimination of R that det_comparison
+    # reads, signs included, at every size
+    terms = det_inverse_sequence(96).terms
+    minors = leading_minors(reciprocal_pascal(96))
+    for n in range(1, 97):
+        assert terms[n - 1] == 1 / minors[n - 1], n
 
 
 def test_sign_ledger_to_16_is_unchanged():
