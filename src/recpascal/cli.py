@@ -12,7 +12,8 @@ are --n above sys.maxsize and oeis --id A068555 with --n 1.
 
 gen --format bfile takes the oeis generators where the matrix's reading is
 a catalogued sequence.  Every command computes its result before writing
-any of it, so a failing input leaves an --output file untouched.
+any of it, so a failing input leaves an --output file untouched.  Matrix
+text, like b-file text, is rendered as it is written: a row at a time.
 
 Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage or
 input error: an unreadable, malformed or non-overlapping reference b-file,
@@ -163,25 +164,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_pretty(dense) -> str:
+def _render_pretty(dense):
     cells = [[str(x) for x in row] for row in dense]
     widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
-    return "".join(
-        "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in cells
-    )
+    return ("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in cells)
 
 
-def _render_csv(dense) -> str:
-    return "".join(",".join(str(x) for x in row) + "\n" for row in dense)
+def _render_csv(dense):
+    return (",".join(map(str, row)) + "\n" for row in dense)
 
 
-def _render_json(dense) -> str:
-    entries = []
+def _render_json(dense):
+    # json.dumps's bytes: each entry is an optional '-' and digits, unescaped
+    yield f'{{"rows": {len(dense)}, "cols": {len(dense[0])}, "entries": ['
+    sep = ""
     for row in dense:
-        for x in row:
-            entries.append([str(x.numerator), str(x.denominator)])
-    obj = {"rows": len(dense), "cols": len(dense[0]), "entries": entries}
-    return json.dumps(obj) + "\n"
+        yield sep + ", ".join(f'["{x.numerator}", "{x.denominator}"]' for x in row)
+        sep = ", "
+    yield "]}\n"
 
 
 def _matrix_reading(kind: str, n: int) -> SequenceRecord:
@@ -196,16 +196,14 @@ def _matrix_reading(kind: str, n: int) -> SequenceRecord:
 
 
 def _render_matrix(kind: str, n: int, fmt: str):
-    """The named matrix in one format, as pieces of text to write."""
+    """The named matrix in one format, as pieces of text to write: a block
+    of b-file lines or a matrix row each.  The matrix is computed before
+    this returns; its text is rendered as it is written."""
     if fmt == "bfile":
         return emit_bfile_blocks(_matrix_reading(kind, n))
     mat = _GENERATORS[kind](n)
     dense = mat.to_dense() if isinstance(mat, Diagonal) else mat
-    if fmt == "csv":
-        return [_render_csv(dense)]
-    if fmt == "json":
-        return [_render_json(dense)]
-    return [_render_pretty(dense)]
+    return {"pretty": _render_pretty, "csv": _render_csv, "json": _render_json}[fmt](dense)
 
 
 def _det_text(args: argparse.Namespace) -> tuple[str, int]:
@@ -336,9 +334,9 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code.
 
     The result is computed before anything is written; its text is then
-    written piece by piece, a rendered string being one piece and a b-file
-    a block of lines.  A failed write raises OSError, which main turns into
-    exit 2.
+    written piece by piece, a matrix a row at a time, a b-file a block of
+    lines at a time and any other output as one string.  A failed write
+    raises OSError, which main turns into exit 2.
     """
     if args.command == "gen":
         pieces, code = _render_matrix(args.matrix, args.n, args.fmt), 0

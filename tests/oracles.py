@@ -3,13 +3,15 @@
 These deliberately avoid the package's fast routes: binomials come from
 factorials, determinants from cofactor expansion or a pivoting Bareiss
 elimination of their own, det(R^-1) from the Gauss-Jordan inverse of R
-rather than from the leading minors of R itself, and R·X = I from
-row-scaled integer products of their own, and b-files from a reader that
-splits each stripped line into fields instead of matching a pattern.
-Agreement between a fast route and a slow oracle is the evidence the tests
-are after.  A000984_BFILE names a vendored reference b-file, the same
-kind of independent evidence for the sequence side.
+rather than from the leading minors of R itself, R·X = I from
+row-scaled integer products of their own, b-files from a reader that
+splits each stripped line into fields instead of matching a pattern, and
+matrix text as one whole string per format, its JSON from json.dumps.
+Agreement between a fast route and a slow oracle is the evidence the
+tests are after.  A000984_BFILE names a vendored reference b-file, the
+same kind of independent evidence for the sequence side.
 """
+import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -50,6 +52,28 @@ def parse_bfile_by_fields(text: str, oeis_id: str = "") -> SequenceRecord:
     if not terms:
         raise ValueError("no terms found")
     return SequenceRecord(oeis_id, offset, terms)
+
+
+def matrix_csv_text(dense) -> str:
+    """The whole CSV text of a matrix: one line per row, commas between."""
+    return "".join(",".join(str(x) for x in row) + "\n" for row in dense)
+
+
+def matrix_pretty_text(dense) -> str:
+    """The whole pretty text of a matrix: each column right-aligned to its
+    widest entry, two spaces between columns."""
+    cells = [[str(x) for x in row] for row in dense]
+    widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
+    return "".join(
+        "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in cells
+    )
+
+
+def matrix_json_text(dense) -> str:
+    """The matrix JSON as json.dumps writes it, entries as decimal strings."""
+    entries = [[str(x.numerator), str(x.denominator)] for row in dense for x in row]
+    obj = {"rows": len(dense), "cols": len(dense[0]), "entries": entries}
+    return json.dumps(obj) + "\n"
 
 
 def binomial_factorial(n: int, k: int) -> int:

@@ -7,15 +7,22 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from recpascal import GENERATED_IDS, cli, generated_sequence
 
-from oracles import A000984_BFILE, unlimited_int_digits
+from oracles import (
+    A000984_BFILE,
+    matrix_csv_text,
+    matrix_json_text,
+    matrix_pretty_text,
+    unlimited_int_digits,
+)
 
 
 def run_cli(*args, **kwargs):
@@ -71,6 +78,26 @@ def test_gen_json_schema():
     assert list(obj) == ["rows", "cols", "entries"]
     assert obj["rows"] == 2 and obj["cols"] == 2
     assert obj["entries"] == [["1", "1"], ["1", "1"], ["1", "1"], ["1", "2"]]
+
+
+#: Small rectangular matrices of ints and Fractions of either sign.
+_SMALL_MATRICES = st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-10**40, 10**40) | st.fractions(max_denominator=10**20),
+             min_size=cols, max_size=cols),
+    min_size=1, max_size=5))
+
+
+@given(_SMALL_MATRICES)
+@example([[0]])
+@example([[Fraction(-1, 2)]])
+def test_matrix_text_is_the_whole_text_a_row_at_a_time(dense):
+    # one piece per row, and json's header and closing besides
+    pieces = [list(render(dense))
+              for render in (cli._render_csv, cli._render_pretty, cli._render_json)]
+    assert [len(p) for p in pieces] == [len(dense), len(dense), len(dense) + 2]
+    assert "".join(pieces[0]) == matrix_csv_text(dense)
+    assert "".join(pieces[1]) == matrix_pretty_text(dense)
+    assert "".join(pieces[2]) == matrix_json_text(dense)
 
 
 def test_gen_triangle_bfile():
@@ -319,6 +346,16 @@ def test_pascal_triangle_ops_hold_no_whole_file_copy(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
 
 
+@pytest.mark.parametrize("fmt,bound", [("csv", 5), ("pretty", 6), ("json", 5)],
+                         ids=["csv", "pretty", "json"])
+def test_matrix_output_holds_no_whole_text_copy(tmp_path, fmt, bound):
+    # invert --n 128 writes 2.3-2.7 MB; its whole text as one string peaked
+    # at 6.4 / 10.2 / 13.9 MB traced (csv / pretty / json), a row at a time
+    # at 3.5 / 4.8 / 3.4 MB: the inverse, and pretty's cell strings
+    argv = ["invert", "--n", "128", "--format", fmt, "--output", str(tmp_path / "rinv")]
+    assert _traced_peak_mb(argv) < bound
+
+
 class _PipeClosedAfterOneWrite(io.StringIO):
     def write(self, text):
         if self.tell():
@@ -341,7 +378,7 @@ def _unbuffered_env(unbuffered):
 
 
 @pytest.mark.parametrize("argv", [
-    # each output is one piece of text, of 4.8 MB and 1.4 MB
+    # 160 matrix rows, one piece each: 4.8 MB and 1.4 MB of text in all
     ["invert", "--n", "160", "--format", "csv"],
     ["gen", "--matrix", "Rinv", "--n", "160", "--format", "json"],
     # 81 blocks of b-file text
@@ -369,7 +406,8 @@ def test_pipe_closed_by_its_reader_exits_2_unbuffered(argv):
     ["invert", "--n", "12", "--format", "pretty"],
     ["gen", "--matrix", "Rinv", "--n", "40", "--format", "json"],
     ["oeis", "--id", "A007318", "--n", "64"],
-], ids=["invert", "gen", "oeis"])
+    ["invert", "--n", "40", "--format", "csv"],
+], ids=["invert", "gen", "oeis", "invert-csv"])
 def test_stdout_bytes_do_not_depend_on_buffering(argv):
     outputs = [subprocess.run([sys.executable, "-m", "recpascal", *argv],
                               capture_output=True, env=_unbuffered_env(unbuffered))
