@@ -16,7 +16,6 @@ from recpascal import (
     l_matrix,
     matmul,
     reciprocal_pascal,
-    super_catalan,
     super_catalan_matrix,
 )
 
@@ -73,7 +72,7 @@ for k in range(-min(m, n), min(m, n) + 1):  # every other term is zero
     term = (-1 if k & 1 else 1) * comb(2 * m, m + k) * comb(2 * n, n - k)
     print(f"    k={k:+d}: {term:+d}")
     total += term
-print(f"    sum = {total}, S({m}, {n}) = {super_catalan(m, n)}")
+print(f"    sum = {total}, S({m}, {n}) = {s[m][n]}")
 assert check_von_szily_upto(max(m, n) + 1).passed
 print("\nThe folded one-sided form is entrywise L D L^T, which check_ldl checks.")
 

@@ -7,11 +7,7 @@ and diagonal factors and verified by checking R . R^-1 = I exactly in
 integers; exact determinant comparisons; and b-file tooling for the related
 catalogued integer sequences.
 """
-from .combinatorics import (
-    ExactnessError,
-    exact_div,
-    super_catalan,
-)
+from .combinatorics import ExactnessError, exact_div
 from .matrices import (
     Diagonal,
     d_matrix,
@@ -90,7 +86,6 @@ __all__ = [
     "r_inverse_via_factorization",
     "reciprocal_pascal",
     "sign_pattern",
-    "super_catalan",
     "super_catalan_candidates",
     "super_catalan_matrix",
 ]

@@ -1,12 +1,11 @@
-"""Exact combinatorial kernels: checked division and super Catalan numbers.
+"""Exact combinatorial kernel: checked division.
 
 Integers are plain Python ints (arbitrary precision).  Every division
 performed here is exact and checked at runtime, so a wrong intermediate can
-never round silently.
+never round silently.  The super Catalan numbers come from one route,
+matrices.super_catalan_matrix; the tests pin it to the factorial ratio.
 """
 from __future__ import annotations
-
-from math import factorial
 
 
 class ExactnessError(ArithmeticError):
@@ -19,18 +18,3 @@ def exact_div(a: int, b: int) -> int:
     if r:
         raise ExactnessError(f"{a} is not divisible by {b}")
     return q
-
-
-def super_catalan(m: int, n: int) -> int:
-    """Super Catalan number (2m)! (2n)! / (m! n! (m+n)!).
-
-    The quotient is an integer for all m, n >= 0; the division is checked
-    so a regression cannot silently produce a wrong value.
-    """
-    if m < 0 or n < 0:
-        raise ValueError(f"super_catalan needs m, n >= 0, got ({m}, {n})")
-    return exact_div(
-        factorial(2 * m) * factorial(2 * n),
-        factorial(m) * factorial(n) * factorial(m + n),
-    )
-

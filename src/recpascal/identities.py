@@ -7,6 +7,8 @@ D^-1 = diag(1, -1/2, 1/2, ...) is fractional, and D' = 2 D^-1 is integer.
 So the route forms 2 R^-1 = G L^-T D' L^-1 G and halves every entry with a
 checked division; that halving is the integrality claim, checked.
 
+The super Catalan array S has one route, matrices.super_catalan_matrix, and
+every check compares against it; the tests pin it to the factorial ratio.
 Von Szily's identity, the scalar form of S = L D L^T, is checked for every
 index pair as one two-sided integer product of math.comb values.  Its folded
 one-sided form is entrywise L D L^T, which check_ldl compares.
@@ -25,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .combinatorics import exact_div, super_catalan
+from .combinatorics import exact_div
 from .linalg import _scaled_rows, leading_minors
 from .matrices import (
     Diagonal,
@@ -112,7 +114,7 @@ def check_von_szily_upto(n: int) -> CheckReport:
     Row m of T holds C(2m, m+j) for j = -(n-1)..n-1, zero where |j| > m; each
     entry is one math.comb call, so the table is independent of l_matrix.
     The signed T times its column-reversed transpose gives every two-sided
-    sum at once, compared with the factorial-ratio super Catalan values.
+    sum at once, compared with super_catalan_matrix(n).
     """
     _require_size(n)
     start = time.perf_counter()
@@ -120,8 +122,7 @@ def check_von_szily_upto(n: int) -> CheckReport:
          for m in range(n)]
     signed = from_rows([_sign(j) * x for j, x in enumerate(row, 1 - n)] for row in t)
     reversed_t = from_rows(row[::-1] for row in t)
-    expected = from_rows([super_catalan(m, k) for k in range(n)] for m in range(n))
-    mismatch = _first_mismatch(expected, matmul(signed, reversed_t.T))
+    mismatch = _first_mismatch(super_catalan_matrix(n), matmul(signed, reversed_t.T))
     return CheckReport("vonszily", n, mismatch, time.perf_counter() - start)
 
 

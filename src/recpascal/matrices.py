@@ -11,9 +11,9 @@ only, its reciprocal entry by entry from it, and the others by running
 products with one exact division per entry; that includes the triangle's
 inverse, which has a closed form.  The central binomials C(2m, m) are one
 shared sequence: G's diagonal, the first column of L and of the super
-Catalan array.
-Tests pin the generated entries to math.comb and to super_catalan's
-factorial ratio.
+Catalan array.  super_catalan_matrix is the package's one route to the
+super Catalan numbers S(m, k); the checks and sequence readings all read it.
+Tests pin the generated entries to math.comb and S to the factorial ratio.
 """
 from __future__ import annotations
 

@@ -57,8 +57,10 @@ _RUN = re.compile(r"(?:[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*\r?\n)+")
 # digits per term, and no caller needs another size.
 #: Lines per block of emitted b-file text.
 _EMIT_LINES = 1000
-#: Characters after which a parse slice ends, just after the next newline.
+#: Characters after which a parse slice ends, just after the next line end.
 _PARSE_CHARS = 1 << 15
+#: A line end as str.splitlines() reads one, "\r\n" taken whole.
+_LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class SequenceRecord(namedtuple("SequenceRecord", "oeis_id offset terms")):
@@ -84,14 +86,14 @@ def emit_bfile_blocks(rec: SequenceRecord):
 
 def _slices(text: str):
     """Yield consecutive slices of text of about _PARSE_CHARS characters.
-    Each slice but the last ends just after a "\n", which always ends a
-    line, even as the second half of "\r\n", or, where no "\n" follows,
-    just after a "\r", which then cannot be the first half of "\r\n"; so
-    the lines of the slices chain to text.splitlines()."""
+    Each slice but the last ends just after the first line end at or past
+    _PARSE_CHARS, any str.splitlines() boundary, with "\r\n" never split
+    between its halves; so the lines of the slices chain to
+    text.splitlines()."""
     start = 0
     while start < len(text):
-        pos = start + _PARSE_CHARS
-        cut = text.find("\n", pos) + 1 or text.find("\r", pos) + 1 or len(text)
+        end = _LINE_END.search(text, start + _PARSE_CHARS)
+        cut = end.end() if end else len(text)
         yield text[start:cut]
         start = cut
 

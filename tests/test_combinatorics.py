@@ -1,4 +1,4 @@
-"""Scalar kernels against the factorial-ratio oracle and pinned values."""
+"""Scalar kernels and super Catalan identities against pinned values."""
 import math
 
 import pytest
@@ -8,10 +8,10 @@ from recpascal import (
     ExactnessError,
     exact_div,
     g_matrix,
-    super_catalan,
+    super_catalan_matrix,
 )
 
-from oracles import binomial_factorial, super_catalan_factorial
+from oracles import binomial_factorial
 
 
 def test_exact_div_divides():
@@ -47,23 +47,22 @@ def test_central_binomial_even_property(n):
     assert all(c % 2 == 0 for c in g_matrix(n).diag[1:])
 
 
+# The super Catalan numbers S(m, n) come from super_catalan_matrix, the
+# production route; tests/test_matrices.py pins it to the factorial ratio.
+_S = super_catalan_matrix(41)
+
+
 def test_super_catalan_pinned_values():
-    assert super_catalan(0, 0) == 1
-    assert super_catalan(1, 1) == 2
-    assert super_catalan(2, 1) == 4
-    assert super_catalan(2, 2) == 6
-
-
-def test_super_catalan_matches_factorial_oracle():
-    for m in range(41):
-        for n in range(41):
-            assert super_catalan(m, n) == super_catalan_factorial(m, n)
+    assert _S[0][0] == 1
+    assert _S[1][1] == 2
+    assert _S[2][1] == 4
+    assert _S[2][2] == 6
 
 
 def test_super_catalan_symmetry():
     for m in range(41):
         for n in range(m, 41):
-            assert super_catalan(m, n) == super_catalan(n, m)
+            assert _S[m][n] == _S[n][m]
 
 
 def test_super_catalan_central_binomial_quotient():
@@ -71,12 +70,5 @@ def test_super_catalan_central_binomial_quotient():
     c = g_matrix(41).diag
     for m in range(41):
         for n in range(41):
-            lhs = super_catalan(m, n) * math.comb(m + n, m)
+            lhs = _S[m][n] * math.comb(m + n, m)
             assert lhs == c[m] * c[n]
-
-
-def test_super_catalan_rejects_negative():
-    with pytest.raises(ValueError):
-        super_catalan(-1, 0)
-    with pytest.raises(ValueError):
-        super_catalan(0, -2)

@@ -32,12 +32,12 @@ from recpascal import (
     r_inverse_00,
     r_inverse_via_factorization,
     reciprocal_pascal,
-    super_catalan,
+    super_catalan_matrix,
 )
 from recpascal import identities
 from recpascal.identities import _first_mismatch
 
-from oracles import det_bareiss, det_cofactor
+from oracles import det_bareiss, det_cofactor, super_catalan_factorial
 
 
 def test_check_report_passed_means_no_counterexample():
@@ -114,7 +114,7 @@ def test_von_szily_base_case():
 def test_von_szily_small_terms():
     # at (1, 1) the two-sided sum is -1 + 4 - 1 = 2
     assert check_von_szily_upto(2).passed
-    assert super_catalan(1, 1) == 2
+    assert super_catalan_factorial(1, 1) == 2
 
 
 def test_von_szily_asymmetric_pair():
@@ -152,7 +152,7 @@ def test_von_szily_sum_stable_under_widened_range():
             (-1 if k & 1 else 1) * _comb(2 * m, m + k) * _comb(2 * n, n - k)
             for k in range(-bound, bound + 1)
         )
-        assert total == super_catalan(m, n)
+        assert total == super_catalan_factorial(m, n)
 
 
 def test_von_szily_upto_aggregates():
@@ -180,7 +180,29 @@ def test_von_szily_reports_a_planted_binomial(data):
         mp.setattr(identities, "comb", planted)
         rep = check_von_szily_upto(n)
     assert rep.counterexample is not None
-    assert rep.counterexample[:3] == (abs(j), m, super_catalan(abs(j), m))
+    assert rep.counterexample[:3] == (abs(j), m, super_catalan_factorial(abs(j), m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_von_szily_reports_a_wrong_super_catalan_entry(data):
+    # the right side is super_catalan_matrix, so one entry off by one there
+    # is the first and only mismatch, reported with the planted value
+    n = data.draw(st.integers(1, 24), label="n")
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(0, n - 1), label="j")
+    delta = data.draw(st.sampled_from((-1, 1)), label="delta")
+    right = super_catalan_matrix(n)
+
+    def planted(size):
+        rows = super_catalan_matrix(size).tolist()
+        rows[i][j] += delta
+        return from_rows(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "super_catalan_matrix", planted)
+        rep = check_von_szily_upto(n)
+    assert rep.counterexample == (i, j, right[i][j] + delta, right[i][j])
 
 
 def test_l_inverse_column_pinned_sizes():

@@ -19,11 +19,10 @@ from recpascal import (
     matmul,
     pascal_matrix,
     reciprocal_pascal,
-    super_catalan,
     super_catalan_matrix,
 )
 
-from oracles import binomial_factorial
+from oracles import binomial_factorial, super_catalan_factorial
 
 GENERATORS = (pascal_matrix, reciprocal_pascal, super_catalan_matrix,
               g_matrix, l_matrix, l_inverse_matrix, d_matrix)
@@ -100,7 +99,11 @@ def test_d_matrix_pinned():
 
 
 def test_generators_match_scalar_kernels():
-    # every generated entry against the one-off kernel, all sizes to 16
+    # every generated entry against the one-off kernel, all sizes to 16, and
+    # the super Catalan array against the factorial ratio over 41 x 41
+    s = super_catalan_matrix(41)
+    assert s.tolist() == [[super_catalan_factorial(i, j) for j in range(41)]
+                          for i in range(41)]
     for n in range(1, 17):
         p = pascal_matrix(n)
         r = reciprocal_pascal(n)
@@ -112,7 +115,7 @@ def test_generators_match_scalar_kernels():
             for j in range(n):
                 assert p[i][j] == comb(i + j, i)
                 assert r[i][j] == Fraction(1, comb(i + j, i))
-                assert s[i][j] == super_catalan(i, j)
+                assert s[i][j] == super_catalan_factorial(i, j)
                 assert l[i][j] == (comb(2 * i, i + j) if j <= i else 0)
 
 

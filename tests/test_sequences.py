@@ -22,7 +22,6 @@ from recpascal import (
     pascal_matrix,
     reciprocal_pascal,
     sign_pattern,
-    super_catalan,
     super_catalan_candidates,
 )
 
@@ -30,6 +29,7 @@ from oracles import (
     A000984_BFILE,
     det_r_inverse_gauss_jordan,
     parse_bfile_by_fields,
+    super_catalan_factorial,
     unlimited_int_digits,
 )
 
@@ -97,9 +97,11 @@ def test_parse_rejects_malformed_line():
 _PAD = st.text(" \t\r\u00a0", max_size=2)
 _FIELD = st.text("0123456789-\u0663_+", min_size=1, max_size=4)
 _ANY = st.text("0123456789- \t\r\u00a0\u0663_+#", max_size=10)
-# every str.splitlines() boundary kind, "\r\n" included
-_TERMINATOR = st.sampled_from(
-    ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"))
+#: Every str.splitlines() line boundary, "\r\n" included, and its name.
+_LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029")
+_LINE_END_NAMES = ("LF", "CRLF", "CR", "VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS")
+_TERMINATOR = st.sampled_from(_LINE_ENDS)
 _BLOCK_SIZE = st.integers(1, 16)
 # a parse slice of 64 KiB takes each drawn text whole
 _PARSE_BLOCK = _BLOCK_SIZE | st.just(1 << 16)
@@ -150,17 +152,19 @@ def test_parse_matches_the_line_by_line_reader(text, block_chars):
     assert outcome == _parse_outcome(parse_bfile_by_fields, text)
 
 
+#: A tail ends every line from the drawn one on with its line end.
+_TAILS = {"lone \\r tail": "\r", "\\x0c tail": "\x0c", "\\u2028 tail": "\u2028"}
 #: One defect per long text: each either breaks the record it replaces or
 #: is a line only the line-by-line reading takes.
 _DEFECTS = ("index gap", "index repeat", "+5", "1_0", "\u0663", "third field",
-            "comment", "blank line", "\u00a0 pad", "lone \\r", "lone \\r tail")
+            "comment", "blank line", "\u00a0 pad", "lone \\r") + tuple(_TAILS)
 
 
 @st.composite
 def _long_bfile_texts(draw):
     """Up to 60 records of two plain integer fields padded with spaces and
     tabs, every line ended by one drawn "\n" or "\r\n", with one defect
-    at a drawn line (for a lone "\r" tail, from that line on)."""
+    at a drawn line (for a tail, its line end from that line on)."""
     end = draw(st.sampled_from(("\n", "\r\n")))
     first = draw(st.integers(-3, 3))
     values = draw(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=60))
@@ -184,19 +188,21 @@ def _long_bfile_texts(draw):
     elif defect == "lone \\r":
         ends[at] = "\r"
     else:
-        # no "\n" after the drawn line: slices there end after a lone "\r"
-        ends[at:] = ["\r"] * (len(ends) - at)
+        # no "\n" after the drawn line: slices there end after another
+        # line end, and no run of plain records starts there
+        ends[at:] = [_TAILS[defect]] * (len(ends) - at)
     return "".join(map(str.__add__, lines, ends))
 
 
-def test_lone_cr_text_is_sliced_and_read_as_the_line_by_line_reader():
-    # lone "\r" line ends only: a slice ends after a "\r" where no "\n"
-    # follows, so the text is read in many slices, not as one
-    text = "".join(f"{k} {k * k}\r" for k in range(1, 5000))
+@pytest.mark.parametrize("end", _LINE_ENDS, ids=_LINE_END_NAMES)
+def test_one_line_end_text_is_sliced_and_read_as_the_line_by_line_reader(end):
+    # every line ends with the same boundary: a slice ends after any of
+    # them, so the text is read in many slices, not held as one
+    text = "".join(f"{k} {k * k}{end}" for k in range(1, 5000))
     assert len(text) > sequences._PARSE_CHARS
     slices = list(sequences._slices(text))
     assert len(slices) > 1 and "".join(slices) == text
-    assert all(piece.endswith("\r") for piece in slices)
+    assert all(piece.endswith(end) for piece in slices)
     assert parse_bfile(text, oeis_id="T") == parse_bfile_by_fields(text, oeis_id="T")
 
 
@@ -460,7 +466,7 @@ def test_super_catalan_candidates_structure():
     assert cands["halved_antidiagonals"].terms == (1, 2, 2, 5, 3, 5)
     for m in range(1, 6):
         for n in range(1, 6):
-            assert super_catalan(m, n) % 2 == 0
+            assert super_catalan_factorial(m, n) % 2 == 0
 
 
 def test_super_catalan_candidates_rejects_tiny_sizes():
