@@ -11,7 +11,7 @@ from recpascal import (
     super_catalan_matrix,
 )
 
-from oracles import binomial_factorial
+from oracles import binomial_factorial, super_catalan_factorial
 
 
 def test_exact_div_divides():
@@ -48,7 +48,7 @@ def test_central_binomial_even_property(n):
 
 
 # The super Catalan numbers S(m, n) come from super_catalan_matrix, the
-# production route; tests/test_matrices.py pins it to the factorial ratio.
+# production route, pinned here to the factorial ratio.
 _S = super_catalan_matrix(41)
 
 
@@ -57,6 +57,12 @@ def test_super_catalan_pinned_values():
     assert _S[1][1] == 2
     assert _S[2][1] == 4
     assert _S[2][2] == 6
+
+
+def test_super_catalan_matches_factorial_oracle():
+    for m in range(41):
+        for n in range(41):
+            assert _S[m][n] == super_catalan_factorial(m, n)
 
 
 def test_super_catalan_symmetry():
