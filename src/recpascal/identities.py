@@ -151,8 +151,13 @@ def _doubled_r_inverse(n: int) -> Matrix:
 
 
 def _halve(m: Matrix) -> Matrix:
-    """Entrywise checked halving: an odd entry raises rather than rounds."""
-    return from_rows([[exact_div(x, 2) for x in row] for row in m])
+    """Entrywise checked halving: the first odd entry, in row-major order,
+    raises through exact_div rather than rounds; then every entry is even
+    and a shift halves it."""
+    odd = next((x for row in m for x in row if x & 1), None)
+    if odd is not None:
+        exact_div(odd, 2)
+    return from_rows([x >> 1 for x in row] for row in m)
 
 
 def r_inverse_via_factorization(n: int) -> Matrix:

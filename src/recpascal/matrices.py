@@ -3,7 +3,13 @@
 Dense matrices are immutable tuples of equal-length row tuples holding
 Python ints or fractions.Fraction values, so entries read as m[i][j] and
 equality is plain ==.  Diagonal matrices get the lightweight Diagonal
-wrapper so products with them stay O(n^2).
+wrapper so products with them stay O(n^2).  A dense product forms each
+entry only over the overlap of its row's and column's nonzero spans, so a
+triangular or banded operand costs no multiplications by its known zeros;
+and when the operands have the congruence form a = b^T D, as both of the
+paper's results do (R^-1 = G L^-T D^-1 L^-1 G and S = L D L^T), it forms
+only the upper triangle of the symmetric product and mirrors it.  Both are
+read off the operands, exactly, in O(n^2); no caller selects them.
 
 Generators fill rows by recurrence instead of recomputing each coefficient
 from scratch: the symmetric Pascal array by prefix sums, integer additions
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from operator import mul
 
 from .combinatorics import exact_div
@@ -116,11 +122,17 @@ def reciprocal_pascal(n: int) -> Matrix:
 
 
 def super_catalan_matrix(n: int) -> Matrix:
-    """Array of super Catalan numbers: entry (m, k) is (2m)!(2k)!/(m! k! (m+k)!)."""
+    """Array of super Catalan numbers: entry (m, k) is (2m)!(2k)!/(m! k! (m+k)!).
+
+    Row m starts its recurrence S(m, k+1) = S(m, k) 2(2k+1) / (m+k+1) at the
+    diagonal, S(m, m) = C(2m, m); the entries k < m are S(k, m), copied from
+    the rows above.
+    """
     rows = []
     for m, cur in enumerate(_central_binomials(n)):
-        row = [cur]
-        for k in range(n - 1):
+        row = [above[m] for above in rows]
+        row.append(cur)
+        for k in range(m, n - 1):
             cur = exact_div(cur * 2 * (2 * k + 1), m + k + 1)
             row.append(cur)
         rows.append(row)
@@ -167,8 +179,45 @@ def d_matrix(n: int) -> Diagonal:
     return Diagonal((1,) + tuple(-2 if m % 2 else 2 for m in range(1, n)))
 
 
+def _span(v) -> tuple[int, int]:
+    """(lo, hi) with v[lo] and v[hi - 1] v's first and last nonzero entries;
+    (0, 0) when v is all zero."""
+    lo = next(compress(count(), v), None)
+    if lo is None:
+        return 0, 0
+    return lo, len(v) - next(compress(count(), reversed(v)))
+
+
+def _is_congruence(a, b) -> bool:
+    """True when a = b^T D for some diagonal D, so that a b is symmetric.
+
+    Column k of a must be d_k times row k of b, with d_k read off the first
+    nonzero entry b[k][f] of that row; the test cross-multiplies, so it is
+    exact and divides nothing.  A zero row of b adds nothing to a b, and
+    there both sides of the test are zero.
+    """
+    if len(a) != len(b[0]):
+        return False
+    for col, row in zip(zip(*a), b):
+        f = _span(row)[0]
+        af, bf = col[f], row[f]
+        if [x * bf for x in col] != [af * y for y in row]:
+            return False
+    return True
+
+
 def matmul(a, b):
-    """Exact matrix product; a Diagonal operand becomes a row or column scaling."""
+    """Exact matrix product; a Diagonal operand becomes a row or column scaling.
+
+    A dense entry sums a[i][k] b[k][j] only over the overlap of the nonzero
+    spans of row i of a and column j of b, since every other term is a known
+    zero; an empty overlap gives the int 0, and a row nonzero at both ends
+    takes the plain sum with every column, so a dense product pays nothing
+    per entry for the spans.  When a = b^T D for a diagonal D, as in the
+    congruences L D L^T and L^-T D' L^-1, the product is symmetric: only the
+    entries with i <= j are formed and the rest mirrored.  Entries equal the
+    full sums by value.
+    """
     if isinstance(a, Diagonal):
         if a.n != b.shape[0]:
             raise ValueError(f"dimension mismatch: {a.n} vs {b.shape}")
@@ -180,4 +229,25 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
     cols = tuple(zip(*b))
-    return from_rows([sum(map(mul, row, col)) for col in cols] for row in a)
+    trimmed = []
+    for col in cols:
+        lo, hi = _span(col)
+        trimmed.append((lo, col[lo:hi]))
+
+    def row_entries(row, j0):
+        """Entries j0, j0+1, ... of row times b: the row's nonzero span and
+        each column's are aligned at the later start, and map stops at the
+        earlier end."""
+        rlo, rhi = _span(row)
+        if rhi - rlo == len(row):
+            return [sum(map(mul, row, col)) for col in cols[j0:]]
+        part = row[rlo:rhi]
+        return [sum(map(mul, part[clo - rlo:], col)) if rlo <= clo
+                else sum(map(mul, part, col[rlo - clo:]))
+                for clo, col in trimmed[j0:]]
+
+    if not _is_congruence(a, b):
+        return from_rows(row_entries(row, 0) for row in a)
+    upper = [row_entries(row, i) for i, row in enumerate(a)]
+    return from_rows([upper[j][i - j] for j in range(i)] + upper[i]
+                     for i in range(len(upper)))

@@ -4,9 +4,11 @@ These deliberately avoid the package's fast routes: binomials come from
 factorials, determinants from cofactor expansion or a pivoting Bareiss
 elimination of their own, det(R^-1) from the Gauss-Jordan inverse of R
 rather than from the leading minors of R itself, R·X = I from
-row-scaled integer products of their own, b-files from a reader that
-splits each stripped line into fields instead of matching a pattern, and
-matrix text as one whole string per format, its JSON from json.dumps.
+row-scaled integer products of their own, matrix products from the full
+triple sum, with no zero span skipped and no symmetry used, b-files from a
+reader that splits each stripped line into fields instead of matching a
+pattern, and matrix text as one whole string per format, its JSON from
+json.dumps.
 Agreement between a fast route and a slow oracle is the evidence the
 tests are after.  A000984_BFILE names a vendored reference b-file, the
 same kind of independent evidence for the sequence side.
@@ -88,6 +90,15 @@ def super_catalan_factorial(m: int, n: int) -> int:
                   factorial(m) * factorial(n) * factorial(m + n))
     assert r == 0
     return q
+
+
+def matmul_triple_sum(a, b) -> list:
+    """The product a·b as nested lists, every entry the full sum over the
+    inner index."""
+    rows, inner, cols = len(a), len(b), len(b[0])
+    assert all(len(row) == inner for row in a)
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]
 
 
 def det_cofactor(m) -> Fraction:

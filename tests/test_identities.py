@@ -343,6 +343,23 @@ def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
     assert rep.counterexample == (0, 0, "an integer entry", Fraction(1, 2))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_halving_names_the_first_odd_entry(data):
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    evens = st.integers(-10**30, 10**30).map(lambda x: 2 * x)
+    m = data.draw(st.lists(st.lists(evens, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    assert identities._halve(from_rows(m)).tolist() == [[x // 2 for x in row] for row in m]
+    # an odd entry at (i, j), and another after it in row-major order
+    i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    m[i][j] += 1
+    if (i, j) != (rows - 1, cols - 1):
+        m[-1][-1] += 1
+    with pytest.raises(ExactnessError, match=f"^{m[i][j]} is not divisible by 2$"):
+        identities._halve(from_rows(m))
+
+
 def test_integrality_checks_the_identity_in_integers(monkeypatch):
     # the wrong inverse [[0, 1], [1, -1]] is all-integer, so only R . R^-1 = I
     # can catch it; row 1 of R is scaled by lcm 2

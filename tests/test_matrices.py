@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from recpascal import (
@@ -21,8 +21,9 @@ from recpascal import (
     reciprocal_pascal,
     super_catalan_matrix,
 )
+from recpascal import matrices
 
-from oracles import binomial_factorial, super_catalan_factorial
+from oracles import binomial_factorial, matmul_triple_sum, super_catalan_factorial
 
 GENERATORS = (pascal_matrix, reciprocal_pascal, super_catalan_matrix,
               g_matrix, l_matrix, l_inverse_matrix, d_matrix)
@@ -201,8 +202,7 @@ def test_matmul_rectangular_matches_explicit_sums(rows, inner, cols, data):
     a = data.draw(dense(rows, inner))
     b = data.draw(dense(inner, cols))
     d = Diagonal(data.draw(st.lists(entries, min_size=inner, max_size=inner)))
-    expected = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-                for i in range(rows)]
+    expected = matmul_triple_sum(a, b)
     product = matmul(a, b)
     assert product.shape == (rows, cols)
     assert product.tolist() == expected
@@ -211,6 +211,85 @@ def test_matmul_rectangular_matches_explicit_sums(rows, inner, cols, data):
     for m in (a, b, product):
         assert m.T.T == m
         assert m.T.shape == m.shape[::-1]
+
+
+@st.composite
+def zero_spans(draw, rows, cols):
+    """A matrix whose zeros, ints or Fractions, make it triangular, banded,
+    zero on one diagonal, or zero on some whole rows and columns."""
+    m = draw(dense(rows, cols)).tolist()
+    zero = draw(st.sampled_from([0, Fraction(0)]))
+    off = draw(st.integers(-cols, cols))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    keep = draw(st.sampled_from(list({
+        "dense": lambda i, j: True,
+        "lower": lambda i, j: j - i <= off,
+        "upper": lambda i, j: j - i >= off,
+        "band": lambda i, j: abs(j - i - off) <= 1,
+        "zero diagonal": lambda i, j: j - i != off,
+        "zero lines": lambda i, j: i not in zero_rows and j not in zero_cols,
+    }.items())))[1]
+    return from_rows([x if keep(i, j) else zero for j, x in enumerate(row)]
+                     for i, row in enumerate(m))
+
+
+sizes = st.integers(1, 7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes, sizes, sizes, st.data())
+def test_matmul_matches_triple_sum_across_zero_spans(rows, inner, cols, data):
+    a = data.draw(zero_spans(rows, inner), label="a")
+    b = data.draw(zero_spans(inner, cols), label="b")
+    assert matmul(a, b).tolist() == matmul_triple_sum(a, b)
+
+
+def congruent_pair(data, inner, cols):
+    """b and a = b^T D for a rational diagonal D, zeros allowed in D."""
+    b = data.draw(zero_spans(inner, cols), label="b")
+    d = data.draw(st.lists(entries, min_size=inner, max_size=inner), label="d")
+    return [[b[k][i] * d[k] for k in range(inner)] for i in range(cols)], b
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes, sizes, st.data())
+def test_matmul_congruence_is_symmetric_and_matches_triple_sum(inner, cols, data):
+    a, b = congruent_pair(data, inner, cols)
+    a = from_rows(a)
+    assert matrices._is_congruence(a, b)
+    product = matmul(a, b)
+    assert product.tolist() == matmul_triple_sum(a, b)
+    assert product == product.T
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes, st.integers(2, 7), st.data())
+def test_matmul_near_congruence_takes_the_general_path(inner, cols, data):
+    # a = b^T D with a[j][k] moved off d_k b[k][j], where row k of b is
+    # nonzero at some f != j: column k of a is then no multiple of row k
+    a, b = congruent_pair(data, inner, cols)
+    nonzero_rows = [k for k in range(inner) if any(b[k])]
+    assume(nonzero_rows)
+    k = data.draw(st.sampled_from(nonzero_rows), label="k")
+    f = next(i for i, x in enumerate(b[k]) if x)
+    j = data.draw(st.sampled_from([j for j in range(cols) if j != f]), label="j")
+    a[j][k] += data.draw(entries.filter(bool), label="delta")
+    a = from_rows(a)
+    assert not matrices._is_congruence(a, b)
+    assert matmul(a, b).tolist() == matmul_triple_sum(a, b)
+
+
+def test_matmul_congruences_of_the_paper_take_the_symmetric_path():
+    n = 9
+    l, linv = l_matrix(n), l_inverse_matrix(n)
+    d2 = Diagonal(tuple(2 // d for d in d_matrix(n).diag))
+    assert matrices._is_congruence(matmul(l, d_matrix(n)), l.T)
+    assert matrices._is_congruence(matmul(linv.T, d2), linv)
+    assert not matrices._is_congruence(l, linv)
+    # the symmetric P is P^T I, but R is no diagonal scaling of P's rows
+    assert matrices._is_congruence(pascal_matrix(n), pascal_matrix(n))
+    assert not matrices._is_congruence(reciprocal_pascal(n), pascal_matrix(n))
 
 
 def test_matmul_mixed_product_promotes_to_fractions():
