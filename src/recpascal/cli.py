@@ -8,7 +8,8 @@ and --output, and only the flags it reads besides: gen and invert render
 --format pretty, csv, json or bfile, det pretty or json, and check, bench
 and oeis print JSON or a b-file and take no --format; oeis --signed applies
 only with --id A060739 --bfile.  Any other flag is a usage error, and so
-are --n above sys.maxsize and oeis --id A068555 with --n 1.
+are --n above sys.maxsize, oeis --id A068555 with --n 1, and gen --matrix
+reciprocal --format bfile, whose entries are not integers.
 
 gen --format bfile takes the oeis generators where the matrix's reading is
 a catalogued sequence.  Every command computes its result before writing
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 import time
 from itertools import chain
@@ -133,6 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", choices=tuple(_GENERATORS), default="reciprocal")
     p.add_argument("--format", dest="fmt", choices=_FORMATS, default="pretty")
     add_common(p)
+    # main reports gen's and oeis's cross-flag errors under their own usage line
+    p.set_defaults(subparser=p)
 
     p = sub.add_parser("invert", help="integer inverse via the factorization")
     p.add_argument("--format", dest="fmt", choices=_FORMATS, default="pretty")
@@ -155,8 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signed", action="store_true",
                    help="compare signs too, for --id A060739 --bfile only")
     add_common(p)
-    # main reports oeis's cross-flag errors under this subcommand's usage line
-    p.set_defaults(oeis_parser=p)
+    p.set_defaults(subparser=p)
 
     p = sub.add_parser("bench", help="race the factorization inverse against Gauss-Jordan")
     add_common(p)
@@ -182,6 +183,15 @@ def _render_json(dense):
         yield sep + ", ".join(f'["{x.numerator}", "{x.denominator}"]' for x in row)
         sep = ", "
     yield "]}\n"
+
+
+def _json_text(obj, **kw) -> str:
+    """obj as JSON text ending in a newline.  json is imported here, not at
+    the top: every command is its own process, and gen, invert and a
+    plain oeis emit never load it."""
+    import json
+
+    return json.dumps(obj, **kw) + "\n"
 
 
 def _matrix_reading(kind: str, n: int) -> SequenceRecord:
@@ -216,7 +226,7 @@ def _det_text(args: argparse.Namespace) -> tuple[str, int]:
             "magnitude_match": cmp["magnitude_match"],
             "sign_match": cmp["sign_match"],
         }
-        return json.dumps(obj) + "\n", code
+        return _json_text(obj), code
     lines = [
         f"n = {cmp['n']}",
         f"closed form: {cmp['formula']}",
@@ -255,7 +265,7 @@ def _oeis_output(args: argparse.Namespace) -> tuple:
             except ValueError:
                 results[label] = {"note": "no overlapping indices"}
         obj = {"id": oeis_id, "asserted": False, "candidates": results}
-        return [json.dumps(obj, indent=2) + "\n"], 0
+        return [_json_text(obj, indent=2)], 0
 
     generated = generated_sequence(oeis_id, args.n)
     signs = oeis_id == "A060739"
@@ -274,7 +284,7 @@ def _oeis_output(args: argparse.Namespace) -> tuple:
         }
     else:
         obj = {"id": oeis_id, "report": report.to_json()}
-    return [json.dumps(obj, indent=2) + "\n"], 0 if report.passed else 1
+    return [_json_text(obj, indent=2)], 0 if report.passed else 1
 
 
 def _max_numerator_bits(*matrices) -> int:
@@ -348,13 +358,13 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "check":
         reports = [check(args.n) for name, check in _CHECKS.items()
                    if "all" in args.checks or name in args.checks]
-        pieces = [json.dumps([rep.to_json() for rep in reports], indent=2) + "\n"]
+        pieces = [_json_text([rep.to_json() for rep in reports], indent=2)]
         code = 0 if all(rep.passed for rep in reports) else 1
     elif args.command == "oeis":
         pieces, code = _oeis_output(args)
     elif args.command == "bench":
         result = bench(args.n)
-        pieces = [json.dumps(result, indent=2) + "\n"]
+        pieces = [_json_text(result, indent=2)]
         code = 0 if result["equal"] else 1
 
     if args.output_path is not None:
@@ -373,11 +383,14 @@ def main(argv=None) -> None:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
+    if args.command == "gen" and args.matrix == "reciprocal" and args.fmt == "bfile":
+        args.subparser.error("gen --matrix reciprocal has no --format bfile: "
+                             "its entries are not integers")
     if args.command == "oeis":
         if args.signed and (args.oeis_id != "A060739" or args.bfile_path is None):
-            args.oeis_parser.error("--signed applies only to oeis --id A060739 --bfile FILE")
+            args.subparser.error("--signed applies only to oeis --id A060739 --bfile FILE")
         if args.oeis_id == "A068555" and args.n < 2:
-            args.oeis_parser.error("oeis --id A068555 needs --n 2 or more")
+            args.subparser.error("oeis --id A068555 needs --n 2 or more")
     # b-file read errors are reported where the file is read, so an OSError
     # reaching here is a failed write: a full device, a closed pipe, --output.
     # An --n up to sys.maxsize may still be too large to hold: an input error.

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from fractions import Fraction
 from math import comb
 
 from .combinatorics import exact_div
@@ -181,6 +180,8 @@ def r_inverse_00(n: int) -> int:
 def det_r_inverse_formula(n: int) -> Fraction:
     """Closed-form determinant of the integer inverse, evaluated verbatim:
     (-1)^(n(n+1)/2) / 2^(n-1) times the product of squared central binomials."""
+    from fractions import Fraction
+
     prod = 1
     for c in g_matrix(n).diag:
         prod *= c * c
@@ -219,6 +220,8 @@ def check_integrality(n: int) -> CheckReport:
     to report the entry of R . R^-1.  For a square R that makes the checked
     matrix the unique inverse, so no second inversion is needed.
     """
+    from fractions import Fraction
+
     start = time.perf_counter()
     doubled = _doubled_r_inverse(n)
     mismatch = next(((i, j, "an integer entry", Fraction(x, 2))

@@ -16,7 +16,6 @@ what makes their agreement meaningful.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .combinatorics import exact_div
@@ -65,6 +64,8 @@ def leading_minors(m: Matrix) -> list:
     leading minor raises ValueError; a row that vanishes has content 0 and
     a zero pivot.
     """
+    from fractions import Fraction
+
     _require_square(m)
     work, scales = _scaled_rows(m)
     n = len(work)
@@ -109,6 +110,8 @@ def invert_rational(m: Matrix) -> Matrix:
     order deterministic.  Raises ValueError naming the rank reached if the
     matrix turns out singular.
     """
+    from fractions import Fraction
+
     _require_square(m)
     rows, factors = _scaled_rows(m)
     n = len(rows)

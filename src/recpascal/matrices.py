@@ -9,7 +9,10 @@ triangular or banded operand costs no multiplications by its known zeros;
 and when the operands have the congruence form a = b^T D, as both of the
 paper's results do (R^-1 = G L^-T D^-1 L^-1 G and S = L D L^T), it forms
 only the upper triangle of the symmetric product and mirrors it.  Both are
-read off the operands, exactly, in O(n^2); no caller selects them.
+read off the operands, exactly, in O(n^2); no caller selects them.  Only
+the functions that build a Fraction import fractions, here and in linalg
+and identities, so a command that never makes one, such as invert or a
+plain oeis emit, starts without it.
 
 Generators fill rows by recurrence instead of recomputing each coefficient
 from scratch: the symmetric Pascal array by prefix sums, integer additions
@@ -24,7 +27,6 @@ Tests pin the generated entries to math.comb and S to the factorial ratio.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import accumulate, compress, count
 from operator import mul
 
@@ -118,6 +120,8 @@ def pascal_matrix(n: int) -> Matrix:
 
 def reciprocal_pascal(n: int) -> Matrix:
     """Entrywise reciprocal of the symmetric binomial array: (i, j) -> 1/C(i+j, i)."""
+    from fractions import Fraction
+
     return from_rows([Fraction(1, c) for c in row] for row in pascal_matrix(n))
 
 

@@ -14,10 +14,10 @@ b-file text moves through fixed-size blocks in both directions: emit yields
 a record's text a thousand lines at a time, so a writer never holds the
 whole file as one string, and parse reads its input in slices of about
 32 KiB that end just after a line end, so no list of every line is held
-beside the text.  Each slice's leading run of plain records, two ASCII
-integer fields to a line padded only with spaces and tabs, is converted in
-bulk; every other line, and a run whose indices break or whose fields
-fail int(), is read line by line, the only reading that skips or raises.
+beside the text.  Each run of plain records, two ASCII integer fields to a
+line padded only with spaces and tabs, is converted in bulk; every other
+line, and a run whose indices break or whose fields fail int(), is read
+line by line, the only reading that skips or raises.
 """
 from __future__ import annotations
 
@@ -43,15 +43,17 @@ from .matrices import (
 #: ids of the catalogued sequences this package can generate terms for.
 GENERATED_IDS = ("A000984", "A007318", "A094527", "A110162", "A060739")
 
+# Patterns are kept as strings and compiled where they are first used, so a
+# command that parses no b-file never compiles them.
 # Matched against the raw line: re's \s and str.strip() share one Unicode
 # whitespace test, so this equals a fullmatch of the stripped line.
-_LINE = re.compile(r"\s*(-?[0-9]+)\s+(-?[0-9]+)\s*")
+_LINE = r"\s*(-?[0-9]+)\s+(-?[0-9]+)\s*"
 # A run of plain records: lines of two fields padded only with ASCII spaces
 # and tabs, each ended by "\n" or "\r\n".  Such a line is one splitlines()
 # line that _LINE matches, and str.split() yields exactly its two fields.
 # Used with match, never fullmatch: a fullmatch failing on a slice's last
 # line would backtrack through every line before it.
-_RUN = re.compile(r"(?:[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*\r?\n)+")
+_RUN = r"(?:[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*\r?\n)+"
 
 # Block sizes are constants, not parameters: a block's memory grows with the
 # digits per term, and no caller needs another size.
@@ -60,7 +62,7 @@ _EMIT_LINES = 1000
 #: Characters after which a parse slice ends, just after the next line end.
 _PARSE_CHARS = 1 << 15
 #: A line end as str.splitlines() reads one, "\r\n" taken whole.
-_LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_LINE_END = "\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]"
 
 
 class SequenceRecord(namedtuple("SequenceRecord", "oeis_id offset terms")):
@@ -90,9 +92,10 @@ def _slices(text: str):
     _PARSE_CHARS, any str.splitlines() boundary, with "\r\n" never split
     between its halves; so the lines of the slices chain to
     text.splitlines()."""
+    line_end = re.compile(_LINE_END)
     start = 0
     while start < len(text):
-        end = _LINE_END.search(text, start + _PARSE_CHARS)
+        end = line_end.search(text, start + _PARSE_CHARS)
         cut = end.end() if end else len(text)
         yield text[start:cut]
         start = cut
@@ -119,51 +122,56 @@ def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
     Both fields are an optional '-' followed by ASCII digits (int() alone
     would take '+5', '1_0' and non-ASCII digits), and indices must be
     consecutive.  The text is read a slice at a time, so no list of every
-    line is held.  Each slice's leading run of plain records (_RUN) is read
-    in bulk: one split, one map(int, ...) and one comparison of its indices
-    with the range they must count.  The rest of the slice, or the whole of
-    it when the run's indices break or a field fails int(), goes line by
-    line: one regular-expression match per line, and only a line that
-    fails it is tested for being blank or a comment.  Malformed or
-    out-of-order lines raise ValueError naming the offending line number;
-    a field past the interpreter's int <-> str digit limit raises the
-    interpreter's own ValueError.  Only the line-by-line reading skips or
-    raises, so the bulk reading changes no record and no error.
+    line is held.  Each run of plain records (_RUN) is read in bulk: one
+    split, one map(int, ...) and one comparison of its indices with the
+    range they must count.  A line where no run starts is read on its own,
+    with the lines up to the next "\n", after which a run is tried again;
+    a run whose indices break or whose fields fail int() is read line by
+    line as a whole.  A line is read by one regular-expression match, and
+    only a line that fails it is tested for being blank or a comment.
+    Malformed or out-of-order lines raise ValueError naming the offending
+    line number; a field past the interpreter's int <-> str digit limit
+    raises the interpreter's own ValueError.  Only the line-by-line reading
+    skips or raises, so the bulk reading changes no record and no error.
     """
-    offset = 0
+    line_re, run_re = re.compile(_LINE), re.compile(_RUN)
     prev = None
     terms = []
     lineno = 0
     for chunk in _slices(text):
-        run = _RUN.match(chunk)
-        bulk = run and _read_run(run.group(), prev)
-        if bulk:
-            indices, values = bulk
-            if prev is None:
-                offset = indices[0]
-            prev = indices[-1]
-            terms += values
-            lineno += len(indices)
-            chunk = chunk[run.end():]
-        # the loop rebinds lineno, so it ends at the slice's last line number
-        for lineno, line in enumerate(chunk.splitlines(), start=lineno + 1):
-            match = _LINE.fullmatch(line)
-            if match is None:
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
-            idx, value = match.groups()
-            idx = int(idx)
-            if prev is None:
-                offset = idx
-            elif idx != prev + 1:
-                raise ValueError(f"line {lineno}: index {idx} does not follow {prev}")
-            prev = idx
-            terms.append(int(value))
+        pos = 0
+        while pos < len(chunk):
+            run = run_re.match(chunk, pos)
+            bulk = run and _read_run(run.group(), prev)
+            if bulk:
+                indices, values = bulk
+                prev = indices[-1]
+                terms += values
+                lineno += len(indices)
+                pos = run.end()
+                continue
+            # no run here: read up to the next "\n" line by line; every line
+            # of a run ends in "\n", so one is tried again after it
+            end = run.end() if run else chunk.find("\n", pos) + 1 or len(chunk)
+            # the loop rebinds lineno, so it ends at the last line number read
+            for lineno, line in enumerate(chunk[pos:end].splitlines(), start=lineno + 1):
+                match = line_re.fullmatch(line)
+                if match is None:
+                    stripped = line.strip()
+                    if not stripped or stripped.startswith("#"):
+                        continue
+                    raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
+                idx, value = match.groups()
+                idx = int(idx)
+                if prev is not None and idx != prev + 1:
+                    raise ValueError(f"line {lineno}: index {idx} does not follow {prev}")
+                prev = idx
+                terms.append(int(value))
+            pos = end
     if not terms:
         raise ValueError("no terms found")
-    return SequenceRecord(oeis_id, offset, terms)
+    # the indices are consecutive, so the last one and the count fix the first
+    return SequenceRecord(oeis_id, prev - len(terms) + 1, terms)
 
 
 def _triangle_rows(m) -> list:

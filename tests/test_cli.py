@@ -32,24 +32,42 @@ def run_cli(*args, **kwargs):
     )
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # the package runs on the standard library alone
-    code = "import sys, recpascal.cli; print('numpy' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\n"
+#: Modules a recpascal process loads only when its command uses them: the
+#: package runs on the standard library alone, and json and fractions (with
+#: the decimal and numbers it pulls in) are imported where they are used.
+_UNUSED_MODULES = ("numpy", "dataclasses", "inspect", "json", "fractions", "decimal",
+                   "numbers")
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+def _bare_python(*args):
+    # -S keeps the host's site hooks from loading any module first
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(_SRC)})
+
+
+def test_cli_import_leaves_the_unused_modules_unloaded():
     # every command is its own process and pays for what the import loads;
-    # -S keeps the host's site hooks from loading either module first
-    src = Path(__file__).resolve().parent.parent / "src"
+    # none of the modules is loaded at the bare start, so the diff sees each
     code = ("import sys; before = set(sys.modules); import recpascal.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
+            f"watched = set({_UNUSED_MODULES!r}); "
+            "print(sorted(watched & before), sorted(watched & (set(sys.modules) - before)))")
+    res = _bare_python("-c", code)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n"
+    assert res.stdout == "[] []\n"
+
+
+@pytest.mark.parametrize("argv", [("invert", "--format", "json"),
+                                  ("gen", "--matrix", "Linv", "--format", "bfile"),
+                                  ("oeis", "--id", "A110162")], ids=" ".join)
+def test_commands_that_need_no_json_or_fraction_finish_without_them(argv):
+    # -X importtime lists every module the process imports, on stderr
+    res = _bare_python("-X", "importtime", "-m", "recpascal", *argv)
+    assert res.returncode == 0 and res.stdout
+    imported = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "recpascal.cli" in imported
+    assert not imported & set(_UNUSED_MODULES)
 
 
 def test_gen_reciprocal_csv_pinned_bytes():
@@ -499,7 +517,9 @@ def _assert_usage_error(code, out, err):
 
 @pytest.mark.parametrize("command,fmt", _HONOURED_PAIRS)
 def test_each_command_renders_its_own_formats(command, fmt):
-    code, out, err = _main_in_process([command, "--n", "2", "--format", fmt])
+    # gen's default matrix, reciprocal, has no b-file reading
+    matrix = ["--matrix", "Rinv"] if (command, fmt) == ("gen", "bfile") else []
+    code, out, err = _main_in_process([command, "--n", "2", "--format", fmt, *matrix])
     assert code == 0 and out and err == ""
 
 
@@ -542,6 +562,16 @@ def test_oeis_cross_flag_errors_show_the_oeis_usage(argv, message):
     _assert_usage_error(code, out, err)
     assert err.startswith("usage: recpascal oeis ")
     assert err.endswith(f"recpascal oeis: error: {message}\n")
+
+
+def test_gen_reciprocal_bfile_is_a_usage_error():
+    # its entries are fractions, which no b-file reader takes
+    code, out, err = _main_in_process(["gen", "--matrix", "reciprocal", "--n", "3",
+                                       "--format", "bfile"])
+    _assert_usage_error(code, out, err)
+    assert err.startswith("usage: recpascal gen ")
+    assert err.endswith("recpascal gen: error: gen --matrix reciprocal has no --format "
+                        "bfile: its entries are not integers\n")
 
 
 def _crosscheck_exit(reference: dict, generated: dict, magnitude_only: bool) -> int:
@@ -590,7 +620,9 @@ def test_exit_code_contract_in_process(tmp_path, data):
     expected = (0, 1, 2)
     usage_error = (command, fmt) in _REMOVED_PAIRS
     if command == "gen":
-        argv += ["--matrix", data.draw(st.sampled_from(tuple(cli._GENERATORS)))]
+        matrix = data.draw(st.sampled_from(tuple(cli._GENERATORS)))
+        argv += ["--matrix", matrix]
+        usage_error = usage_error or (matrix, fmt) == ("reciprocal", "bfile")
     elif command == "check":
         argv += ["--checks", data.draw(st.sampled_from(tuple(cli._CHECKS) + ("all",)))]
     elif command == "oeis":

@@ -220,6 +220,50 @@ def test_bulk_runs_read_as_the_line_by_line_reader(text, data):
     assert outcome == _parse_outcome(parse_bfile_by_fields, text)
 
 
+#: Lines that only the line-by-line reading takes, each skipped.
+_SKIPPED_LINES = ("# note", "#", "# 1 2", "", " \t", "\u00a0")
+
+
+@st.composite
+def _commented_bfile_texts(draw):
+    """Plain records with comment and blank lines drawn before any of them,
+    every line ended by one drawn "\n" or "\r\n"; returns the text and
+    its number of records."""
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    first = draw(st.integers(-3, 3))
+    values = draw(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=80))
+    lines = []
+    for k, v in enumerate(values):
+        lines += draw(st.lists(st.sampled_from(_SKIPPED_LINES), max_size=2))
+        lines.append(f"{first + k} {v}")
+    lines += draw(st.lists(st.sampled_from(_SKIPPED_LINES), max_size=2))
+    return "".join(line + end for line in lines), len(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_commented_bfile_texts(), st.data())
+def test_records_after_comments_and_blank_lines_are_read_in_bulk(drawn, data):
+    # after each line it reads on its own, the parser goes back to reading
+    # runs of plain records in bulk: every record is read in bulk, and the
+    # outcome is the line-by-line reader's at every slice size
+    text, count = drawn
+    block_chars = data.draw(st.integers(1, len(text) + 1))
+    read_run, in_bulk = sequences._read_run, []
+
+    def counted_read_run(run, prev):
+        bulk = read_run(run, prev)
+        if bulk:
+            in_bulk.extend(bulk[0])
+        return bulk
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_PARSE_CHARS", block_chars)
+        mp.setattr(sequences, "_read_run", counted_read_run)
+        outcome = _parse_outcome(parse_bfile, text)
+    assert outcome == _parse_outcome(parse_bfile_by_fields, text)
+    assert len(in_bulk) == count
+
+
 def test_a_digit_limit_error_precedes_a_later_index_gap():
     # one clean run: line 3's value is past the default 4300-digit int <->
     # str limit and line 4's index breaks the count; converting the run in
