@@ -46,15 +46,30 @@ def _bare_python(*args):
                           env={**os.environ, "PYTHONPATH": str(_SRC)})
 
 
-def test_cli_import_leaves_the_unused_modules_unloaded():
+def _loaded_by_import(*names):
     # every command is its own process and pays for what the import loads;
     # none of the modules is loaded at the bare start, so the diff sees each
     code = ("import sys; before = set(sys.modules); import recpascal.cli; "
-            f"watched = set({_UNUSED_MODULES!r}); "
+            f"watched = set({names!r}); "
             "print(sorted(watched & before), sorted(watched & (set(sys.modules) - before)))")
     res = _bare_python("-c", code)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[] []\n"
+    return res.stdout
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # the package runs on the standard library alone
+    assert _loaded_by_import("numpy") == "[] []\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    assert _loaded_by_import("dataclasses", "inspect") == "[] []\n"
+
+
+def test_cli_import_leaves_json_and_fractions_unloaded():
+    # json and fractions, with the decimal and numbers it pulls in, are
+    # imported inside the functions that use them
+    assert _loaded_by_import("json", "fractions", "decimal", "numbers") == "[] []\n"
 
 
 @pytest.mark.parametrize("argv", [("invert", "--format", "json"),
