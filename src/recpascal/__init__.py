@@ -27,6 +27,7 @@ from .linalg import (
 )
 from .identities import (
     CheckReport,
+    check_det,
     check_grg,
     check_integrality,
     check_l_inverse_column,
@@ -59,6 +60,7 @@ __all__ = [
     "GENERATED_IDS",
     "SequenceRecord",
     "antidiagonal_sequence",
+    "check_det",
     "check_grg",
     "check_integrality",
     "check_l_inverse_column",

@@ -16,10 +16,11 @@ a catalogued sequence.  Every command computes its result before writing
 any of it, so a failing input leaves an --output file untouched.  Matrix
 text, like b-file text, is rendered as it is written: a row at a time.
 
-Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage or
-input error: an unreadable, malformed or non-overlapping reference b-file,
-output that cannot be written, or a size too large to hold in memory.
-gen output is deterministic byte for byte.
+Exit codes: 0 success / all checks passed, 1 a check failed, or outside
+check a route's checked exact division failed (one "recpascal:" line, no
+traceback), 2 usage or input error: an unreadable, malformed or
+non-overlapping reference b-file, output that cannot be written, or a size
+too large to hold in memory.  gen output is deterministic byte for byte.
 """
 from __future__ import annotations
 
@@ -28,18 +29,9 @@ import io
 import sys
 import time
 from itertools import chain
-from pathlib import Path
 
-from .identities import (
-    CheckReport,
-    check_grg,
-    check_integrality,
-    check_l_inverse_column,
-    check_ldl,
-    check_von_szily_upto,
-    det_comparison,
-    r_inverse_via_factorization,
-)
+from .combinatorics import ExactnessError
+from .identities import _CHECKS, det_comparison, r_inverse_via_factorization
 from .linalg import invert_rational
 from .matrices import (
     Diagonal,
@@ -83,27 +75,6 @@ _CATALOGUED_READINGS = {"pascal": "A007318", "L": "A094527", "Linv": "A110162",
                         "G": "A000984"}
 
 
-def _check_det(n: int) -> CheckReport:
-    """Determinant magnitudes as a report; the sign note is not a failure."""
-    start = time.perf_counter()
-    cmp = det_comparison(n)
-    mismatch = None
-    if not cmp["magnitude_match"]:
-        mismatch = (0, 0, abs(cmp["formula"]), abs(cmp["oracle"]))
-    return CheckReport("det", n, mismatch, time.perf_counter() - start)
-
-
-#: Every check by its CLI name, in report order.
-_CHECKS = {
-    "grg": check_grg,
-    "ldl": check_ldl,
-    "vonszily": check_von_szily_upto,
-    "parity": check_l_inverse_column,
-    "integrality": check_integrality,
-    "det": _check_det,
-}
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -126,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--n", type=_positive_int, default=8, help="matrix size (default 8)")
-        p.add_argument("--output", dest="output_path", type=Path, default=None,
+        p.add_argument("--output", dest="output_path",
                        help="write to this file instead of stdout")
 
     p = sub.add_parser("gen", help="print one of the named matrices")
@@ -152,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oeis", help="emit our terms as a b-file, or cross-check one")
     p.add_argument("--id", dest="oeis_id", required=True,
                    choices=GENERATED_IDS + ("A068555",))
-    p.add_argument("--bfile", dest="bfile_path", type=Path, default=None,
-                   help="reference b-file to cross-check against")
+    p.add_argument("--bfile", dest="bfile_path", help="reference b-file to cross-check against")
     p.add_argument("--signed", action="store_true",
                    help="compare signs too, for --id A060739 --bfile only")
     add_common(p)
@@ -216,7 +186,7 @@ def _render_matrix(kind: str, n: int, fmt: str):
     return {"pretty": _render_pretty, "csv": _render_csv, "json": _render_json}[fmt](dense)
 
 
-def _det_text(args: argparse.Namespace) -> tuple[str, int]:
+def _det_output(args: argparse.Namespace) -> tuple[list, int]:
     cmp = det_comparison(args.n)
     code = 0 if cmp["magnitude_match"] else 1
     if args.fmt == "json":
@@ -226,7 +196,7 @@ def _det_text(args: argparse.Namespace) -> tuple[str, int]:
             "magnitude_match": cmp["magnitude_match"],
             "sign_match": cmp["sign_match"],
         }
-        return _json_text(obj), code
+        return [_json_text(obj)], code
     lines = [
         f"n = {cmp['n']}",
         f"closed form: {cmp['formula']}",
@@ -234,7 +204,7 @@ def _det_text(args: argparse.Namespace) -> tuple[str, int]:
         f"magnitude match: {cmp['magnitude_match']}",
         f"sign match:      {cmp['sign_match']}",
     ]
-    return "".join(line + "\n" for line in lines), code
+    return [line + "\n" for line in lines], code
 
 
 def _oeis_output(args: argparse.Namespace) -> tuple:
@@ -251,7 +221,8 @@ def _oeis_output(args: argparse.Namespace) -> tuple:
         return emit_bfile_blocks(generated_sequence(oeis_id, args.n)), 0
 
     try:
-        reference = parse_bfile(args.bfile_path.read_text(), oeis_id=oeis_id)
+        with open(args.bfile_path) as bfile:
+            reference = parse_bfile(bfile.read(), oeis_id=oeis_id)
     except (OSError, ValueError) as exc:
         print(f"recpascal: cannot read b-file: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -353,8 +324,7 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "invert":
         pieces, code = _render_matrix("Rinv", args.n, args.fmt), 0
     elif args.command == "det":
-        text, code = _det_text(args)
-        pieces = [text]
+        pieces, code = _det_output(args)
     elif args.command == "check":
         reports = [check(args.n) for name, check in _CHECKS.items()
                    if "all" in args.checks or name in args.checks]
@@ -368,8 +338,8 @@ def run(args: argparse.Namespace) -> int:
         code = 0 if result["equal"] else 1
 
     if args.output_path is not None:
-        # Path.write_text's defaults: locale encoding, strict errors
-        with args.output_path.open("w") as out:
+        # open's defaults, locale encoding and strict errors; "out/" stays a directory
+        with open(args.output_path, "w") as out:
             out.writelines(pieces)
     else:
         _write_stdout(pieces)
@@ -400,6 +370,9 @@ def main(argv=None) -> None:
     except OSError as exc:
         print(f"recpascal: cannot write output: {exc}", file=sys.stderr)
         code = 2
+    except ExactnessError as exc:
+        print(f"recpascal: an exact division failed: {exc}", file=sys.stderr)
+        code = 1
     except MemoryError:
         print(f"recpascal: out of memory (--n {args.n})", file=sys.stderr)
         code = 2

@@ -13,20 +13,21 @@ Von Szily's identity, the scalar form of S = L D L^T, is checked for every
 index pair as one two-sided integer product of math.comb values.  Its folded
 one-sided form is entrywise L D L^T, which check_ldl compares.
 
-Checks never raise on a mathematical failure; they return a CheckReport
-carrying the first counterexample, so callers can aggregate and serialize
-outcomes; check_integrality reports an odd entry of 2 R^-1 that way.  The
+Checks never raise on a mathematical failure.  A check body returns its
+first counterexample, check_integrality's for an odd entry of 2 R^-1 too;
+_check times the body, builds the CheckReport and makes an ExactnessError
+raised on the way, say by a faulty generator, the counterexample.  The
 production routes, r_inverse_via_factorization here and det_inverse_sequence
-in sequences, raise ExactnessError instead when a value claimed to be an
-integer is not one.
+in sequences, raise ExactnessError instead when a claimed integer is not one.
 """
 from __future__ import annotations
 
 import time
 from collections import namedtuple
+from functools import wraps
 from math import comb
 
-from .combinatorics import exact_div
+from .combinatorics import ExactnessError, exact_div
 from .linalg import _scaled_rows, leading_minors
 from .matrices import (
     Diagonal,
@@ -72,6 +73,27 @@ class CheckReport(namedtuple("CheckReport", "name n counterexample elapsed")):
         }
 
 
+_CHECKS = {}
+
+
+def _check(name: str):
+    """Decorator making the check `name`, listed in _CHECKS in the order
+    defined (the report order), from a body returning the first counterexample
+    or None; an ExactnessError e becomes (0, 0, "an exact division", str(e))."""
+    def decorate(body):
+        @wraps(body)
+        def check(n: int) -> CheckReport:
+            start = time.perf_counter()
+            try:
+                mismatch = body(n)
+            except ExactnessError as exc:
+                mismatch = (0, 0, "an exact division", str(exc))
+            return CheckReport(name, n, mismatch, time.perf_counter() - start)
+        _CHECKS[name] = check
+        return check
+    return decorate
+
+
 def _first_mismatch(expected, actual):
     """Row-major scan for the first differing entry; None when equal."""
     if expected.shape != actual.shape:
@@ -88,24 +110,21 @@ def _sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
+@_check("grg")
 def check_grg(n: int) -> CheckReport:
     """Super Catalan array against the central-binomial-scaled reciprocal array."""
-    start = time.perf_counter()
     g = g_matrix(n)
-    product = matmul(matmul(g, reciprocal_pascal(n)), g)
-    mismatch = _first_mismatch(super_catalan_matrix(n), product)
-    return CheckReport("grg", n, mismatch, time.perf_counter() - start)
+    return _first_mismatch(super_catalan_matrix(n), matmul(matmul(g, reciprocal_pascal(n)), g))
 
 
+@_check("ldl")
 def check_ldl(n: int) -> CheckReport:
     """Super Catalan array against the triangular-diagonal-triangular product."""
-    start = time.perf_counter()
     l = l_matrix(n)
-    product = matmul(matmul(l, d_matrix(n)), l.T)
-    mismatch = _first_mismatch(super_catalan_matrix(n), product)
-    return CheckReport("ldl", n, mismatch, time.perf_counter() - start)
+    return _first_mismatch(super_catalan_matrix(n), matmul(matmul(l, d_matrix(n)), l.T))
 
 
+@_check("vonszily")
 def check_von_szily_upto(n: int) -> CheckReport:
     """Von Szily's identity sum_j (-1)^j C(2m, m+j) C(2m', m'-j) = S(m, m')
     for every index pair below n, as one integer product.
@@ -116,15 +135,14 @@ def check_von_szily_upto(n: int) -> CheckReport:
     sum at once, compared with super_catalan_matrix(n).
     """
     _require_size(n)
-    start = time.perf_counter()
     t = [[comb(2 * m, m + j) if -m <= j <= m else 0 for j in range(1 - n, n)]
          for m in range(n)]
     signed = from_rows([_sign(j) * x for j, x in enumerate(row, 1 - n)] for row in t)
     reversed_t = from_rows(row[::-1] for row in t)
-    mismatch = _first_mismatch(super_catalan_matrix(n), matmul(signed, reversed_t.T))
-    return CheckReport("vonszily", n, mismatch, time.perf_counter() - start)
+    return _first_mismatch(super_catalan_matrix(n), matmul(signed, reversed_t.T))
 
 
+@_check("parity")
 def check_l_inverse_column(n: int) -> CheckReport:
     """First column of the triangle's inverse against the alternating diagonal.
 
@@ -132,13 +150,10 @@ def check_l_inverse_column(n: int) -> CheckReport:
     so the column read is the true inverse's, not only the closed form's.
     Every entry of D below the leading 1 is +-2, so equality with D's
     diagonal is the parity claim: column 0 is even below its 1."""
-    start = time.perf_counter()
     linv = l_inverse_matrix(n)
-    mismatch = _first_mismatch(identity(n), matmul(l_matrix(n), linv))
-    if mismatch is None:
-        d = from_rows([x] for x in d_matrix(n).diag)
-        mismatch = _first_mismatch(d, from_rows([row[0]] for row in linv))
-    return CheckReport("parity", n, mismatch, time.perf_counter() - start)
+    return (_first_mismatch(identity(n), matmul(l_matrix(n), linv))
+            or _first_mismatch(from_rows([x] for x in d_matrix(n).diag),
+                               from_rows([row[0]] for row in linv)))
 
 
 def _doubled_r_inverse(n: int) -> Matrix:
@@ -149,13 +164,18 @@ def _doubled_r_inverse(n: int) -> Matrix:
     return matmul(matmul(g, matmul(matmul(linv.T, d2), linv)), g)
 
 
+def _first_odd(m: Matrix):
+    """(i, j, x) for the first odd entry x of m in row-major order, or None."""
+    return next(((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x & 1),
+                None)
+
+
 def _halve(m: Matrix) -> Matrix:
     """Entrywise checked halving: the first odd entry, in row-major order,
     raises through exact_div rather than rounds; then every entry is even
     and a shift halves it."""
-    odd = next((x for row in m for x in row if x & 1), None)
-    if odd is not None:
-        exact_div(odd, 2)
+    if (odd := _first_odd(m)) is not None:
+        exact_div(odd[2], 2)
     return from_rows([x >> 1 for x in row] for row in m)
 
 
@@ -210,6 +230,7 @@ def det_comparison(n: int) -> dict:
     }
 
 
+@_check("integrality")
 def check_integrality(n: int) -> CheckReport:
     """Factorization inverse is all-integer, multiplies back to the identity,
     and agrees with the closed expression at (0, 0).
@@ -222,21 +243,24 @@ def check_integrality(n: int) -> CheckReport:
     """
     from fractions import Fraction
 
-    start = time.perf_counter()
     doubled = _doubled_r_inverse(n)
-    mismatch = next(((i, j, "an integer entry", Fraction(x, 2))
-                     for i, row in enumerate(doubled) for j, x in enumerate(row) if x % 2), None)
-    if mismatch is None:
-        rinv = _halve(doubled)
-        scaled, lcms = _scaled_rows(reciprocal_pascal(n))
-        product = matmul(from_rows(scaled), rinv)
-        mismatch = _first_mismatch(
-            from_rows([f * (i == j) for j in range(n)] for i, f in enumerate(lcms)), product)
-        if mismatch is not None:
-            i, j, _, x = mismatch
-            mismatch = (i, j, int(i == j), Fraction(x, lcms[i]))
-        else:
-            closed = r_inverse_00(n)
-            if rinv[0][0] != closed:
-                mismatch = (0, 0, closed, rinv[0][0])
-    return CheckReport("integrality", n, mismatch, time.perf_counter() - start)
+    if (odd := _first_odd(doubled)) is not None:
+        i, j, x = odd
+        return (i, j, "an integer entry", Fraction(x, 2))
+    rinv = _halve(doubled)
+    scaled, lcms = _scaled_rows(reciprocal_pascal(n))
+    product = matmul(from_rows(scaled), rinv)
+    mismatch = _first_mismatch(
+        from_rows([f * (i == j) for j in range(n)] for i, f in enumerate(lcms)), product)
+    if mismatch is not None:
+        i, j, _, x = mismatch
+        return (i, j, int(i == j), Fraction(x, lcms[i]))
+    closed = r_inverse_00(n)
+    return None if rinv[0][0] == closed else (0, 0, closed, rinv[0][0])
+
+
+@_check("det")
+def check_det(n: int) -> CheckReport:
+    """Determinant magnitudes as a report; the sign note is not a failure."""
+    cmp = det_comparison(n)
+    return None if cmp["magnitude_match"] else (0, 0, abs(cmp["formula"]), abs(cmp["oracle"]))

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from recpascal import GENERATED_IDS, cli, generated_sequence
+from recpascal import (GENERATED_IDS, Diagonal, cli, generated_sequence, identities, matrices,
+                       sequences)
 
 from oracles import (
     A000984_BFILE,
@@ -33,10 +34,11 @@ def run_cli(*args, **kwargs):
 
 
 #: Modules a recpascal process loads only when its command uses them: the
-#: package runs on the standard library alone, and json and fractions (with
-#: the decimal and numbers it pulls in) are imported where they are used.
+#: package runs on the standard library alone, json and fractions (with
+#: the decimal and numbers it pulls in) are imported where they are used,
+#: and pathlib nowhere: --output and --bfile stay str paths.
 _UNUSED_MODULES = ("numpy", "dataclasses", "inspect", "json", "fractions", "decimal",
-                   "numbers")
+                   "numbers", "pathlib")
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -70,6 +72,10 @@ def test_cli_import_leaves_json_and_fractions_unloaded():
     # json and fractions, with the decimal and numbers it pulls in, are
     # imported inside the functions that use them
     assert _loaded_by_import("json", "fractions", "decimal", "numbers") == "[] []\n"
+
+
+def test_cli_import_leaves_pathlib_unloaded():
+    assert _loaded_by_import("pathlib") == "[] []\n"
 
 
 @pytest.mark.parametrize("argv", [("invert", "--format", "json"),
@@ -224,6 +230,36 @@ def test_check_subset():
 def test_check_rejects_unknown_name():
     res = run_cli("check", "--checks", "everything")
     assert res.returncode == 2
+
+
+def test_check_under_a_planted_generator_fault_reports_every_check(monkeypatch):
+    # C(10, 5) raised by 2 breaks the generators' own checked divisions; each
+    # check reports that as its counterexample instead of raising
+    central = matrices._central_binomials
+    monkeypatch.setattr(matrices, "_central_binomials",
+                        lambda n: [c + 2 if m == 5 else c for m, c in enumerate(central(n))])
+    code, out, err = _main_in_process(["check", "--n", "10"])
+    assert (code, err) == (1, "")
+    reports = json.loads(out)
+    assert [rep["name"] for rep in reports] == list(cli._CHECKS)
+    assert len(reports) == 6 and not any(rep["passed"] for rep in reports)
+    assert reports[0]["counterexample"] == {"i": 0, "j": 0, "expected": "an exact division",
+                                            "actual": "13208 is not divisible by 12"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert"], ["gen", "--matrix", "Rinv"], ["oeis", "--id", "A060739"], ["bench"],
+], ids=lambda argv: argv[0])
+def test_a_route_exactness_error_exits_1_without_traceback(monkeypatch, tmp_path, argv):
+    # with D = (2) the doubled inverse and the determinant step are the odd
+    # 1: the route's checked halving fails, a failed integrality claim
+    monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((2,) * n))
+    monkeypatch.setattr(sequences, "d_matrix", lambda n: Diagonal((2,) * n))
+    message = "recpascal: an exact division failed: 1 is not divisible by 2\n"
+    assert _main_in_process([*argv, "--n", "1"]) == (1, "", message)
+    out = tmp_path / "out.txt"
+    assert _main_in_process([*argv, "--n", "1", "--output", str(out)]) == (1, "", message)
+    assert not out.exists()
 
 
 def test_oeis_emit_without_reference():
@@ -482,6 +518,23 @@ def test_output_to_unwritable_path_exits_2(tmp_path):
     assert res.stdout == ""
     assert res.stderr.startswith("recpascal: cannot write")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("name,errno", [("missing/x", "[Errno 2] No such file or directory"),
+                                        ("out/", "[Errno 21] Is a directory")])
+def test_output_path_is_opened_as_given(tmp_path, name, errno):
+    # a trailing slash names a directory, so nothing is written
+    path = f"{tmp_path}/{name}"
+    code, out, err = _main_in_process(["gen", "--n", "2", "--format", "csv", "--output", path])
+    assert (code, out) == (2, "")
+    assert err == f"recpascal: cannot write output: {errno}: '{path}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_output_path_names_no_file():
+    code, out, err = _main_in_process(["gen", "--n", "2", "--output", ""])
+    assert (code, out) == (2, "")
+    assert err == "recpascal: cannot write output: [Errno 2] No such file or directory: ''\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")

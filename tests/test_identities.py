@@ -12,6 +12,7 @@ from recpascal import (
     CheckReport,
     Diagonal,
     ExactnessError,
+    check_det,
     check_grg,
     check_integrality,
     check_l_inverse_column,
@@ -34,7 +35,7 @@ from recpascal import (
     reciprocal_pascal,
     super_catalan_matrix,
 )
-from recpascal import identities
+from recpascal import identities, matrices
 from recpascal.identities import _first_mismatch
 
 from oracles import det_bareiss, det_cofactor, super_catalan_factorial
@@ -123,7 +124,7 @@ def test_von_szily_asymmetric_pair():
 
 
 _SIZED = (check_grg, check_ldl, check_von_szily_upto, check_l_inverse_column,
-          check_integrality, r_inverse_via_factorization, r_inverse_00,
+          check_integrality, check_det, r_inverse_via_factorization, r_inverse_00,
           det_r_inverse_formula, det_comparison, det_inverse_sequence)
 
 
@@ -385,3 +386,116 @@ def test_integrality_catches_a_one_entry_error(data):
         rep = check_integrality(n)
     assert not rep.passed
     assert rep.counterexample[:2] == (0, j)
+
+
+def test_det_check_reports_magnitudes_only():
+    # the closed form's sign is wrong at every odd n; that is no failure
+    for n in range(1, 17):
+        rep = check_det(n)
+        assert rep.passed and rep.name == "det" and rep.n == n
+
+
+def test_det_check_reports_a_magnitude_mismatch(monkeypatch):
+    monkeypatch.setattr(identities, "det_comparison", lambda n: {
+        "formula": Fraction(-3, 2), "oracle": Fraction(5), "magnitude_match": False})
+    assert check_det(2).counterexample == (0, 0, Fraction(3, 2), Fraction(5))
+
+
+#: The six checks in report order; each keeps its name and its module.
+_CHECK_ORDER = ("grg", "ldl", "vonszily", "parity", "integrality", "det")
+
+
+def test_every_check_is_listed_in_report_order():
+    checks = (check_grg, check_ldl, check_von_szily_upto, check_l_inverse_column,
+              check_integrality, check_det)
+    assert tuple(identities._CHECKS) == _CHECK_ORDER
+    assert tuple(identities._CHECKS.values()) == checks
+    for name, check in identities._CHECKS.items():
+        assert check.__module__ == "recpascal.identities"
+        assert check.__name__.startswith("check_")
+        assert check(3).name == name
+
+
+def _plus_two_at_c_10_5(original):
+    # C(10, 5) = 252 raised by 2: G, L and S all read it
+    def planted(n):
+        return [c + 2 if m == 5 else c for m, c in enumerate(original(n))]
+    return planted
+
+
+def test_an_exactness_error_becomes_the_counterexample(monkeypatch):
+    monkeypatch.setattr(matrices, "_central_binomials",
+                        _plus_two_at_c_10_5(matrices._central_binomials))
+    rep = check_grg(10)
+    assert rep == CheckReport("grg", 10, (0, 0, "an exact division",
+                                          "13208 is not divisible by 12"), rep.elapsed)
+    assert rep.to_json()["counterexample"] == {
+        "i": 0, "j": 0, "expected": "an exact division",
+        "actual": "13208 is not divisible by 12"}
+
+
+def test_only_an_exactness_error_becomes_a_report(monkeypatch):
+    # D' = 2 D^-1 divides 2 by D's 0: a ZeroDivisionError is no failed claim
+    monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((1, 0)))
+    with pytest.raises(ZeroDivisionError):
+        check_integrality(2)
+
+
+#: Where each planted fault goes, per generator, in the order of _FAULTS:
+#: the last entry, an inner one, and one the paper needs even: C(2m, m) for
+#: m >= 1 (G's diagonal, P's diagonal, column 0 of L), D's +-2, column 0 of
+#: L^-1 below its 1, and S(m, k) off (0, 0).
+_FAULT_SITES = {
+    "_central_binomials": (9, 3, 5),
+    "pascal_matrix": ((9, 9), (3, 2), (5, 5)),
+    "l_matrix": ((9, 9), (3, 2), (5, 0)),
+    "l_inverse_matrix": ((9, 9), (3, 2), (5, 0)),
+    "d_matrix": (9, 3, 5),
+    "super_catalan_matrix": ((9, 9), (3, 2), (4, 5)),
+}
+_FAULTS = {"off_by_one": lambda x: x + 1, "scaled": lambda x: 3 * x,
+           "odd": lambda x: x - 1}
+#: The checks that read each generator, through the factors they build.
+_READERS = {
+    "_central_binomials": set(_CHECK_ORDER),
+    "pascal_matrix": {"grg", "integrality", "det"},
+    "l_matrix": {"ldl", "parity"},
+    "l_inverse_matrix": {"parity", "integrality"},
+    "d_matrix": {"ldl", "parity", "integrality"},
+    "super_catalan_matrix": {"grg", "ldl", "vonszily"},
+}
+
+
+def _faulty(original, site, change):
+    """original with change applied to its entry at site: an index into a
+    list or a Diagonal's diagonal, an (i, j) pair into a dense matrix."""
+    def planted(n):
+        made = original(n)
+        if isinstance(made, Diagonal):
+            return Diagonal(change(x) if k == site else x for k, x in enumerate(made.diag))
+        if isinstance(made, list):
+            return [change(x) if k == site else x for k, x in enumerate(made)]
+        return from_rows([change(x) if (i, j) == site else x for j, x in enumerate(row)]
+                         for i, row in enumerate(made))
+    return planted
+
+
+@pytest.mark.parametrize("fault", tuple(_FAULTS))
+@pytest.mark.parametrize("generator", tuple(_FAULT_SITES))
+def test_a_planted_generator_fault_fails_exactly_its_readers(monkeypatch, generator, fault):
+    # every check returns a report, never raises; the checks that read the
+    # faulted generator fail and the others pass
+    site = _FAULT_SITES[generator][tuple(_FAULTS).index(fault)]
+    original = getattr(matrices, generator)
+    if fault == "odd":
+        made = original(10)
+        entry = made.diag[site] if isinstance(made, Diagonal) else (
+            made[site] if isinstance(made, list) else made[site[0]][site[1]])
+        assert entry % 2 == 0, (generator, site, entry)
+    planted = _faulty(original, site, _FAULTS[fault])
+    for module in (matrices, identities):
+        if hasattr(module, generator):
+            monkeypatch.setattr(module, generator, planted)
+    reports = [check(10) for check in identities._CHECKS.values()]
+    assert [rep.name for rep in reports] == list(_CHECK_ORDER)
+    assert {rep.name for rep in reports if not rep.passed} == _READERS[generator]
