@@ -6,6 +6,7 @@ triangle, and the determinant-by-size sequence).  A068555 is related to the
 super Catalan array but its exact reading is not pinned down, so the package
 emits candidate readings without asserting any of them.
 """
+import io
 from pathlib import Path
 
 from recpascal import (
@@ -28,12 +29,14 @@ print("\nA b-file is just 'index value' lines.  Emit and re-parse one:")
 rec = generated_sequence("A110162", 3)
 text = "".join(emit_bfile_blocks(rec))
 print("    " + "    ".join(text.splitlines(True)), end="")
-assert parse_bfile(text, oeis_id=rec.oeis_id) == rec
-print("    -> parses back to an identical record.")
+assert parse_bfile(io.StringIO(text), oeis_id=rec.oeis_id) == rec
+print("    -> read back as a text stream, it parses to an identical record.")
 
-print("\nCross-check against the vendored reference for the central binomials:")
+print("\nCross-check against the vendored reference for the central binomials,")
+print("parsed from the open file a slice at a time:")
 bfile = Path(__file__).resolve().parent.parent / "tests" / "data" / "b000984.txt"
-reference = parse_bfile(bfile.read_text(), oeis_id="A000984")
+with open(bfile) as stream:
+    reference = parse_bfile(stream, oeis_id="A000984")
 report = crosscheck(reference, generated_sequence("A000984", 21))
 print(f"    compared {report.n} overlapping terms: "
       f"{'match' if report.passed else report.counterexample}")

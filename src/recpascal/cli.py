@@ -15,12 +15,15 @@ gen --format bfile takes the oeis generators where the matrix's reading is
 a catalogued sequence.  Every command computes its result before writing
 any of it, so a failing input leaves an --output file untouched.  Matrix
 text, like b-file text, is rendered as it is written: a row at a time.
+oeis --bfile parses its reference from the open file a slice at a time,
+so a malformed line may be reported before an undecodable byte further on.
 
 Exit codes: 0 success / all checks passed, 1 a check failed, or outside
-check a route's checked exact division failed (one "recpascal:" line, no
-traceback), 2 usage or input error: an unreadable, malformed or
-non-overlapping reference b-file, output that cannot be written, or a size
-too large to hold in memory.  gen output is deterministic byte for byte.
+check a route's checked exact division failed or det's oracle met a zero
+leading minor of R (one "recpascal:" line, no traceback), 2 usage or input
+error: an unreadable, malformed or non-overlapping reference b-file, output
+that cannot be written, or a size too large to hold in memory.  gen output
+is deterministic byte for byte.
 """
 from __future__ import annotations
 
@@ -222,7 +225,7 @@ def _oeis_output(args: argparse.Namespace) -> tuple:
 
     try:
         with open(args.bfile_path) as bfile:
-            reference = parse_bfile(bfile.read(), oeis_id=oeis_id)
+            reference = parse_bfile(bfile, oeis_id=oeis_id)
     except (OSError, ValueError) as exc:
         print(f"recpascal: cannot read b-file: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

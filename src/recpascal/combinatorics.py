@@ -9,7 +9,7 @@ from __future__ import annotations
 
 
 class ExactnessError(ArithmeticError):
-    """An operation that must be exact left a remainder."""
+    """An operation that must be exact left a remainder or divided by zero."""
 
 
 def exact_div(a: int, b: int) -> int:

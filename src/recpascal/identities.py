@@ -18,7 +18,8 @@ first counterexample, check_integrality's for an odd entry of 2 R^-1 too;
 _check times the body, builds the CheckReport and makes an ExactnessError
 raised on the way, say by a faulty generator, the counterexample.  The
 production routes, r_inverse_via_factorization here and det_inverse_sequence
-in sequences, raise ExactnessError instead when a claimed integer is not one.
+in sequences, raise ExactnessError instead when a claimed integer is not one,
+and det_comparison when a leading minor of R is zero.
 """
 from __future__ import annotations
 
@@ -217,10 +218,14 @@ def det_comparison(n: int) -> dict:
     Magnitude and sign agreement are reported separately: the magnitudes
     always agree, while the closed form's sign factor disagrees with the
     oracle for odd n.  Both values are kept exact so the discrepancy stays
-    visible instead of being smoothed over.
+    visible instead of being smoothed over.  A zero leading minor raises
+    ExactnessError: each leading block of R is a smaller R, claimed invertible.
     """
     formula = det_r_inverse_formula(n)
-    oracle = 1 / leading_minors(reciprocal_pascal(n))[-1]
+    try:
+        oracle = 1 / leading_minors(reciprocal_pascal(n))[-1]
+    except ValueError as exc:
+        raise ExactnessError(f"1 / det(R_{n}): {exc}") from None
     return {
         "n": n,
         "formula": formula,
@@ -244,10 +249,11 @@ def check_integrality(n: int) -> CheckReport:
     from fractions import Fraction
 
     doubled = _doubled_r_inverse(n)
-    if (odd := _first_odd(doubled)) is not None:
-        i, j, x = odd
+    try:
+        rinv = _halve(doubled)
+    except ExactnessError:
+        i, j, x = _first_odd(doubled)
         return (i, j, "an integer entry", Fraction(x, 2))
-    rinv = _halve(doubled)
     scaled, lcms = _scaled_rows(reciprocal_pascal(n))
     product = matmul(from_rows(scaled), rinv)
     mismatch = _first_mismatch(

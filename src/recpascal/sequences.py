@@ -12,12 +12,12 @@ the square array, whose unread lower-right part holds the largest values.
 
 b-file text moves through fixed-size blocks in both directions: emit yields
 a record's text a thousand lines at a time, so a writer never holds the
-whole file as one string, and parse reads its input in slices of about
-32 KiB that end just after a line end, so no list of every line is held
-beside the text.  Each run of plain records, two ASCII integer fields to a
-line padded only with spaces and tabs, is converted in bulk; every other
-line, and a run whose indices break or whose fields fail int(), is read
-line by line, the only reading that skips or raises.
+whole file as one string, and parse reads an open text stream in slices of
+about 32 KiB that end just after a "\n", so neither the whole text nor a
+list of every line is held.  Each run of plain records, two ASCII integer
+fields to a line padded only with spaces and tabs, is converted in bulk;
+every other line, and a run whose indices break or whose fields fail int(),
+is read line by line, the only reading that skips or raises.
 """
 from __future__ import annotations
 
@@ -59,10 +59,8 @@ _RUN = r"(?:[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*\r?\n)+"
 # digits per term, and no caller needs another size.
 #: Lines per block of emitted b-file text.
 _EMIT_LINES = 1000
-#: Characters after which a parse slice ends, just after the next line end.
+#: Characters after which a parse slice ends, just after the next "\n".
 _PARSE_CHARS = 1 << 15
-#: A line end as str.splitlines() reads one, "\r\n" taken whole.
-_LINE_END = "\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]"
 
 
 class SequenceRecord(namedtuple("SequenceRecord", "oeis_id offset terms")):
@@ -86,21 +84,6 @@ def emit_bfile_blocks(rec: SequenceRecord):
         yield "".join([f"{i} {t}\n" for i, t in enumerate(block, rec.offset + start)])
 
 
-def _slices(text: str):
-    """Yield consecutive slices of text of about _PARSE_CHARS characters.
-    Each slice but the last ends just after the first line end at or past
-    _PARSE_CHARS, any str.splitlines() boundary, with "\r\n" never split
-    between its halves; so the lines of the slices chain to
-    text.splitlines()."""
-    line_end = re.compile(_LINE_END)
-    start = 0
-    while start < len(text):
-        end = line_end.search(text, start + _PARSE_CHARS)
-        cut = end.end() if end else len(text)
-        yield text[start:cut]
-        start = cut
-
-
 def _read_run(run: str, prev):
     """A run of plain records read in bulk: its (indices, values) as ints,
     or None when a field fails int() or the indices do not count up from
@@ -116,29 +99,34 @@ def _read_run(run: str, prev):
     return indices, fields[1::2]
 
 
-def parse_bfile(text: str, oeis_id: str = "") -> SequenceRecord:
-    """Parse b-file text; '#' comment lines and blank lines are skipped.
+def parse_bfile(stream, oeis_id: str = "") -> SequenceRecord:
+    """Parse b-file text from an open text stream, a file opened in text
+    mode or an io.StringIO; '#' comment lines and blank lines are skipped.
 
     Both fields are an optional '-' followed by ASCII digits (int() alone
     would take '+5', '1_0' and non-ASCII digits), and indices must be
-    consecutive.  The text is read a slice at a time, so no list of every
-    line is held.  Each run of plain records (_RUN) is read in bulk: one
-    split, one map(int, ...) and one comparison of its indices with the
-    range they must count.  A line where no run starts is read on its own,
-    with the lines up to the next "\n", after which a run is tried again;
-    a run whose indices break or whose fields fail int() is read line by
-    line as a whole.  A line is read by one regular-expression match, and
-    only a line that fails it is tested for being blank or a comment.
-    Malformed or out-of-order lines raise ValueError naming the offending
-    line number; a field past the interpreter's int <-> str digit limit
-    raises the interpreter's own ValueError.  Only the line-by-line reading
-    skips or raises, so the bulk reading changes no record and no error.
+    consecutive.  The stream is read a slice at a time, _PARSE_CHARS
+    characters and the rest of their line, so every slice ends just after
+    a "\n" (text mode reads "\r\n" and a lone "\r" as one) and neither the
+    text nor a list of every line is held.  Each run of plain records (_RUN)
+    is read in bulk: one split, one map(int, ...) and one comparison of its
+    indices with the range they must count.  A line where no run starts is
+    read on its own, with the lines up to the next "\n", after which a run
+    is tried again; a run whose indices break or whose fields fail int() is
+    read line by line as a whole.  A line is read by one regular-expression
+    match, and only a line that fails it is tested for being blank or a
+    comment.  Malformed or out-of-order lines raise ValueError naming the
+    offending line number; a field past the interpreter's int <-> str digit
+    limit raises the interpreter's own ValueError, and a read error, such
+    as a UnicodeDecodeError, is raised as the stream raises it.  Only the
+    line-by-line reading skips or raises, so the bulk reading changes no
+    record and no error.
     """
     line_re, run_re = re.compile(_LINE), re.compile(_RUN)
     prev = None
     terms = []
     lineno = 0
-    for chunk in _slices(text):
+    while chunk := stream.read(_PARSE_CHARS) + stream.readline():
         pos = 0
         while pos < len(chunk):
             run = run_re.match(chunk, pos)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 happen; without -s pytest shows them for failing tests.  Every comparison
 is exact equality; there are no tolerances anywhere.
 """
+import io
 import json
 import random
 import subprocess
@@ -146,11 +147,12 @@ def test_criterion_8_bfile_round_trip_and_vendored_reference():
             tuple(rng.randint(-10**30, 10**30)
                   for _ in range(rng.randint(1, 40))),
         )
-        if parse_bfile("".join(emit_bfile_blocks(rec)), oeis_id="T") != rec:
+        if parse_bfile(io.StringIO("".join(emit_bfile_blocks(rec))), oeis_id="T") != rec:
             ok, detail = False, f"round-trip failure on record {i}"
             break
     if ok:
-        reference = parse_bfile(A000984_BFILE.read_text(), oeis_id="A000984")
+        with open(A000984_BFILE) as bfile:
+            reference = parse_bfile(bfile, oeis_id="A000984")
         rep = crosscheck(reference, generated_sequence("A000984", 21))
         if not (rep.passed and rep.n >= 21):
             ok, detail = False, "vendored A000984 crosscheck failed"

@@ -247,6 +247,25 @@ def test_check_under_a_planted_generator_fault_reports_every_check(monkeypatch):
                                             "actual": "13208 is not divisible by 12"}
 
 
+def test_a_zero_leading_minor_fails_check_and_det_without_traceback(monkeypatch):
+    # C(2, 1) lowered to 1 makes R's leading 2 x 2 block all ones, so the
+    # elimination oracle meets a zero pivot at size 2
+    pascal = matrices.pascal_matrix
+    monkeypatch.setattr(matrices, "pascal_matrix", lambda n: matrices.from_rows(
+        [x - ((i, j) == (1, 1)) for j, x in enumerate(row)] for i, row in enumerate(pascal(n))))
+    message = "1 / det(R_4): leading principal minor of size 2 is zero"
+    code, out, err = _main_in_process(["check", "--n", "4"])
+    assert (code, err) == (1, "")
+    reports = {rep["name"]: rep for rep in json.loads(out)}
+    assert {name for name, rep in reports.items() if not rep["passed"]} == {
+        "grg", "integrality", "det"}
+    assert reports["det"]["counterexample"] == {"i": 0, "j": 0, "expected": "an exact division",
+                                                "actual": message}
+    for fmt in ("pretty", "json"):
+        assert _main_in_process(["det", "--n", "4", "--format", fmt]) == (
+            1, "", f"recpascal: an exact division failed: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["invert"], ["gen", "--matrix", "Rinv"], ["oeis", "--id", "A060739"], ["bench"],
 ], ids=lambda argv: argv[0])
@@ -305,6 +324,17 @@ def test_malformed_reference_leaves_the_output_file_unchanged(tmp_path):
     assert res.returncode == 2
     assert res.stderr == "recpascal: cannot read b-file: line 3: index 3 does not follow 1\n"
     assert out.read_bytes() == b"kept\r\nas it was\n"
+
+
+def test_undecodable_reference_exits_2(tmp_path):
+    # open() decodes in the locale's encoding; UTF-8 mode fixes it here
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1\n1 2\n2 \xff\n")
+    res = run_cli("oeis", "--id", "A000984", "--n", "5", "--bfile", str(bad),
+                  env={**os.environ, "PYTHONUTF8": "1"})
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("recpascal: cannot read b-file: ")
+    assert "can't decode byte 0xff" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_oeis_missing_reference_file_exits_2(tmp_path):
@@ -407,11 +437,22 @@ def test_pascal_triangle_ops_hold_no_whole_file_copy(tmp_path, capsys):
     # the sequence benchmark's A007318 ops: joining every line of the 5.1 MB
     # b-file into one string peaks near 19 MB, and so does holding a list of
     # every line of the reference beside its text; in blocks, the emit holds
-    # the terms and the cross-check the reference's text and two term tuples
+    # the terms and the cross-check a slice of the reference and both records
     ref = tmp_path / "b007318.txt"
     emit = ["oeis", "--id", "A007318", "--n", "400"]
     assert _traced_peak_mb([*emit, "--output", str(ref)]) < 10
     assert _traced_peak_mb([*emit, "--bfile", str(ref)]) < 14
+    assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
+
+
+def test_central_binomial_crosscheck_holds_no_whole_file_copy(tmp_path, capsys):
+    # A000984 to n = 4000 writes 4.8 MB of text, which outweighs its terms:
+    # holding the reference's bytes and decoded text peaks at 9.3 MB traced,
+    # and reading the open file a slice at a time at 4.5 MB, the terms
+    ref = tmp_path / "b000984.txt"
+    emit = ["oeis", "--id", "A000984", "--n", "4000"]
+    assert _main_in_process([*emit, "--output", str(ref)]) == (0, "", "")
+    assert _traced_peak_mb([*emit, "--bfile", str(ref)]) < 6
     assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
 
 

@@ -444,17 +444,21 @@ def test_only_an_exactness_error_becomes_a_report(monkeypatch):
 #: Where each planted fault goes, per generator, in the order of _FAULTS:
 #: the last entry, an inner one, and one the paper needs even: C(2m, m) for
 #: m >= 1 (G's diagonal, P's diagonal, column 0 of L), D's +-2, column 0 of
-#: L^-1 below its 1, and S(m, k) off (0, 0).
+#: L^-1 below its 1, and S(m, k) off (0, 0).  P alone takes a zero minor:
+#: C(2, 1) lowered to 1 makes R's leading 2 x 2 block all ones.
 _FAULT_SITES = {
     "_central_binomials": (9, 3, 5),
-    "pascal_matrix": ((9, 9), (3, 2), (5, 5)),
+    "pascal_matrix": ((9, 9), (3, 2), (5, 5), (1, 1)),
     "l_matrix": ((9, 9), (3, 2), (5, 0)),
     "l_inverse_matrix": ((9, 9), (3, 2), (5, 0)),
     "d_matrix": (9, 3, 5),
     "super_catalan_matrix": ((9, 9), (3, 2), (4, 5)),
 }
 _FAULTS = {"off_by_one": lambda x: x + 1, "scaled": lambda x: 3 * x,
-           "odd": lambda x: x - 1}
+           "odd": lambda x: x - 1, "zero_minor": lambda x: x - 1}
+#: (generator, fault) for every site listed.
+_PLANTED = [(generator, fault) for generator, sites in _FAULT_SITES.items()
+            for fault, _ in zip(_FAULTS, sites)]
 #: The checks that read each generator, through the factors they build.
 _READERS = {
     "_central_binomials": set(_CHECK_ORDER),
@@ -480,8 +484,7 @@ def _faulty(original, site, change):
     return planted
 
 
-@pytest.mark.parametrize("fault", tuple(_FAULTS))
-@pytest.mark.parametrize("generator", tuple(_FAULT_SITES))
+@pytest.mark.parametrize("generator,fault", _PLANTED, ids=["-".join(p) for p in _PLANTED])
 def test_a_planted_generator_fault_fails_exactly_its_readers(monkeypatch, generator, fault):
     # every check returns a report, never raises; the checks that read the
     # faulted generator fail and the others pass

@@ -1,4 +1,5 @@
 """b-file round-trips, matrix readings, and catalogued-sequence crosschecks."""
+import io
 import random
 import sys
 from math import comb
@@ -32,6 +33,11 @@ from oracles import (
     super_catalan_factorial,
     unlimited_int_digits,
 )
+
+
+def _parse(text: str, oeis_id: str = ""):
+    """parse_bfile on text held in memory, read as an open text stream."""
+    return parse_bfile(io.StringIO(text), oeis_id=oeis_id)
 
 
 def test_record_coerces_terms_to_tuple():
@@ -68,30 +74,30 @@ def test_emit_pinned():
 
 def test_parse_round_trip():
     rec = SequenceRecord("A060739", 1, (1, -2, -36))
-    again = parse_bfile("".join(emit_bfile_blocks(rec)), oeis_id="A060739")
+    again = _parse("".join(emit_bfile_blocks(rec)), oeis_id="A060739")
     assert again == rec
 
 
 def test_parse_skips_comments_and_blanks():
     text = "# a comment\n\n0 1\n1 2\n# interior comment\n2 6\n"
-    rec = parse_bfile(text, oeis_id="A000984")
+    rec = _parse(text, oeis_id="A000984")
     assert rec.offset == 0 and rec.terms == (1, 2, 6)
 
 
 def test_parse_negative_offset_and_values():
-    rec = parse_bfile("-2 5\n-1 -7\n0 0\n")
+    rec = _parse("-2 5\n-1 -7\n0 0\n")
     assert rec.offset == -2 and rec.terms == (5, -7, 0)
 
 
 def test_parse_rejects_malformed_line():
     with pytest.raises(ValueError, match="line 2"):
-        parse_bfile("0 1\n1 two\n")
+        _parse("0 1\n1 two\n")
     with pytest.raises(ValueError, match="line 1"):
-        parse_bfile("0 1 extra\n")
+        _parse("0 1 extra\n")
     # int() alone takes an underscore, a '+' sign and any Unicode digit
     for text in ("0 1_0\n", "+0 +5\n", "0 \u0663\n"):
         with pytest.raises(ValueError, match="line 1: expected 'index value'"):
-            parse_bfile(text)
+            _parse(text)
 
 
 _PAD = st.text(" \t\r\u00a0", max_size=2)
@@ -144,11 +150,11 @@ def _parse_outcome(parse, text):
 def test_parse_matches_the_line_by_line_reader(text, block_chars):
     # one pattern match on the raw line must read every line, blank,
     # comment, record or malformed, as stripping and splitting it does; a
-    # small block size cuts the text next to every terminator kind and
-    # between the halves of "\r\n"
+    # small block size ends a slice after every "\n", next to every other
+    # terminator kind
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "_PARSE_CHARS", block_chars)
-        outcome = _parse_outcome(parse_bfile, text)
+        outcome = _parse_outcome(_parse, text)
     assert outcome == _parse_outcome(parse_bfile_by_fields, text)
 
 
@@ -188,22 +194,58 @@ def _long_bfile_texts(draw):
     elif defect == "lone \\r":
         ends[at] = "\r"
     else:
-        # no "\n" after the drawn line: slices there end after another
-        # line end, and no run of plain records starts there
+        # no "\n" after the drawn line: the rest of the text is one slice,
+        # and no run of plain records starts there
         ends[at:] = [_TAILS[defect]] * (len(ends) - at)
     return "".join(map(str.__add__, lines, ends))
 
 
+class _SliceRecorder:
+    """An open text stream whose reads are kept: parse_bfile takes each
+    slice as one read and the readline after it."""
+
+    def __init__(self, stream):
+        self.stream, self.reads = stream, []
+
+    def read(self, size):
+        self.reads.append(self.stream.read(size))
+        return self.reads[-1]
+
+    def readline(self):
+        line = self.stream.readline()
+        self.reads[-1] += line
+        return line
+
+    def slices(self):
+        return [piece for piece in self.reads if piece]
+
+
 @pytest.mark.parametrize("end", _LINE_ENDS, ids=_LINE_END_NAMES)
-def test_one_line_end_text_is_sliced_and_read_as_the_line_by_line_reader(end):
-    # every line ends with the same boundary: a slice ends after any of
-    # them, so the text is read in many slices, not held as one
+def test_one_line_end_text_is_sliced_and_read_as_the_line_by_line_reader(end, tmp_path):
+    # a slice ends just after a "\n", so a text whose line end holds one is
+    # read in many slices, not held as one; a text whose lines end only in
+    # another str.splitlines() boundary is one slice, read line for line
     text = "".join(f"{k} {k * k}{end}" for k in range(1, 5000))
     assert len(text) > sequences._PARSE_CHARS
-    slices = list(sequences._slices(text))
-    assert len(slices) > 1 and "".join(slices) == text
-    assert all(piece.endswith(end) for piece in slices)
-    assert parse_bfile(text, oeis_id="T") == parse_bfile_by_fields(text, oeis_id="T")
+    expected = parse_bfile_by_fields(text, oeis_id="T")
+    stream = _SliceRecorder(io.StringIO(text))
+    assert parse_bfile(stream, oeis_id="T") == expected
+    slices = stream.slices()
+    assert "".join(slices) == text
+    if "\n" in end:
+        assert len(slices) > 1 and all(piece.endswith(end) for piece in slices)
+    else:
+        assert len(slices) == 1
+    if end in ("\n", "\r\n", "\r"):
+        # open() reads each of these as "\n", so such a file is sliced too
+        path = tmp_path / "b.txt"
+        path.write_bytes(text.encode())
+        with open(path) as bfile:
+            stream = _SliceRecorder(bfile)
+            assert parse_bfile(stream, oeis_id="T") == expected
+        slices = stream.slices()
+        assert len(slices) > 1 and "".join(slices) == text.replace(end, "\n")
+        assert all(piece.endswith("\n") for piece in slices)
 
 
 @settings(max_examples=300, deadline=None)
@@ -216,7 +258,7 @@ def test_bulk_runs_read_as_the_line_by_line_reader(text, data):
     block_chars = data.draw(st.integers(1, len(text) + 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "_PARSE_CHARS", block_chars)
-        outcome = _parse_outcome(parse_bfile, text)
+        outcome = _parse_outcome(_parse, text)
     assert outcome == _parse_outcome(parse_bfile_by_fields, text)
 
 
@@ -259,7 +301,7 @@ def test_records_after_comments_and_blank_lines_are_read_in_bulk(drawn, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "_PARSE_CHARS", block_chars)
         mp.setattr(sequences, "_read_run", counted_read_run)
-        outcome = _parse_outcome(parse_bfile, text)
+        outcome = _parse_outcome(_parse, text)
     assert outcome == _parse_outcome(parse_bfile_by_fields, text)
     assert len(in_bulk) == count
 
@@ -272,7 +314,7 @@ def test_a_digit_limit_error_precedes_a_later_index_gap():
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        outcome = _parse_outcome(parse_bfile, text)
+        outcome = _parse_outcome(_parse, text)
         assert outcome == _parse_outcome(parse_bfile_by_fields, text)
     finally:
         sys.set_int_max_str_digits(before)
@@ -297,14 +339,14 @@ def test_emit_blocks_join_to_one_line_per_term(data, block_lines):
 
 def test_parse_rejects_index_gap():
     with pytest.raises(ValueError, match="line 3"):
-        parse_bfile("0 1\n1 2\n3 20\n")
+        _parse("0 1\n1 2\n3 20\n")
     with pytest.raises(ValueError, match="does not follow"):
-        parse_bfile("0 1\n0 1\n")
+        _parse("0 1\n0 1\n")
 
 
 def test_parse_rejects_empty_input():
     with pytest.raises(ValueError, match="no terms"):
-        parse_bfile("# nothing here\n")
+        _parse("# nothing here\n")
 
 
 def test_round_trip_100_randomized_records():
@@ -315,7 +357,7 @@ def test_round_trip_100_randomized_records():
             rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 40))
         )
         rec = SequenceRecord("T", offset, terms)
-        assert parse_bfile("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
+        assert _parse("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
 
 
 @given(
@@ -324,7 +366,7 @@ def test_round_trip_100_randomized_records():
 )
 def test_round_trip_property(offset, terms):
     rec = SequenceRecord("T", offset, tuple(terms))
-    assert parse_bfile("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
+    assert _parse("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
 
 
 _huge_terms = st.builds(
@@ -346,7 +388,7 @@ def test_round_trip_property_past_the_digit_limit(offset, small, huge):
     before = sys.get_int_max_str_digits()
     rec = SequenceRecord("T", offset, tuple(small) + tuple(huge))
     with unlimited_int_digits():
-        assert parse_bfile("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
+        assert _parse("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
     assert sys.get_int_max_str_digits() == before
 
 
@@ -488,7 +530,8 @@ def test_generated_rejects_unknown_and_unasserted_ids():
 
 
 def test_vendored_reference_crosscheck():
-    reference = parse_bfile(A000984_BFILE.read_text(), oeis_id="A000984")
+    with open(A000984_BFILE) as bfile:
+        reference = parse_bfile(bfile, oeis_id="A000984")
     assert reference.offset == 0
     assert len(reference.terms) >= 21
     generated = generated_sequence("A000984", 21)
@@ -497,7 +540,8 @@ def test_vendored_reference_crosscheck():
 
 
 def test_vendored_reference_pinned_tail():
-    reference = parse_bfile(A000984_BFILE.read_text(), oeis_id="A000984")
+    with open(A000984_BFILE) as bfile:
+        reference = parse_bfile(bfile, oeis_id="A000984")
     assert reference.terms[20] == 137846528820
 
 
