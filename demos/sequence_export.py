@@ -29,15 +29,15 @@ print("\nA b-file is just 'index value' lines.  Emit and re-parse one:")
 rec = generated_sequence("A110162", 3)
 text = "".join(emit_bfile_blocks(rec))
 print("    " + "    ".join(text.splitlines(True)), end="")
-assert parse_bfile(io.StringIO(text), oeis_id=rec.oeis_id) == rec
+assert parse_bfile(io.StringIO(text)) == rec
 print("    -> read back as a text stream, it parses to an identical record.")
 
 print("\nCross-check against the vendored reference for the central binomials,")
 print("parsed from the open file a slice at a time:")
 bfile = Path(__file__).resolve().parent.parent / "tests" / "data" / "b000984.txt"
 with open(bfile) as stream:
-    reference = parse_bfile(stream, oeis_id="A000984")
-report = crosscheck(reference, generated_sequence("A000984", 21))
+    reference = parse_bfile(stream)
+report = crosscheck("A000984", reference, generated_sequence("A000984", 21))
 print(f"    compared {report.n} overlapping terms: "
       f"{'match' if report.passed else report.counterexample}")
 assert report.passed

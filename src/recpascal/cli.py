@@ -174,8 +174,8 @@ def _matrix_reading(kind: str, n: int) -> SequenceRecord:
         return generated_sequence(_CATALOGUED_READINGS[kind], n)
     mat = _GENERATORS[kind](n)
     if isinstance(mat, Diagonal):
-        return SequenceRecord(kind, 0, mat.diag)
-    return SequenceRecord(kind, 0, tuple(antidiagonal_sequence(mat)))
+        return SequenceRecord(0, mat.diag)
+    return SequenceRecord(0, antidiagonal_sequence(mat))
 
 
 def _render_matrix(kind: str, n: int, fmt: str):
@@ -201,7 +201,7 @@ def _det_output(args: argparse.Namespace) -> tuple[list, int]:
         }
         return [_json_text(obj)], code
     lines = [
-        f"n = {cmp['n']}",
+        f"n = {args.n}",
         f"closed form: {cmp['formula']}",
         f"oracle:      {cmp['oracle']}",
         f"magnitude match: {cmp['magnitude_match']}",
@@ -225,7 +225,7 @@ def _oeis_output(args: argparse.Namespace) -> tuple:
 
     try:
         with open(args.bfile_path) as bfile:
-            reference = parse_bfile(bfile, oeis_id=oeis_id)
+            reference = parse_bfile(bfile)
     except (OSError, ValueError) as exc:
         print(f"recpascal: cannot read b-file: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -235,7 +235,7 @@ def _oeis_output(args: argparse.Namespace) -> tuple:
         results = {}
         for label, rec in super_catalan_candidates(args.n).items():
             try:
-                results[label] = crosscheck(reference, rec).to_json()
+                results[label] = crosscheck(oeis_id, reference, rec).to_json()
             except ValueError:
                 results[label] = {"note": "no overlapping indices"}
         obj = {"id": oeis_id, "asserted": False, "candidates": results}
@@ -244,7 +244,8 @@ def _oeis_output(args: argparse.Namespace) -> tuple:
     generated = generated_sequence(oeis_id, args.n)
     signs = oeis_id == "A060739"
     try:
-        report = crosscheck(reference, generated, magnitude_only=signs and not args.signed)
+        report = crosscheck(oeis_id, reference, generated,
+                            magnitude_only=signs and not args.signed)
     except ValueError as exc:
         print(f"recpascal: cannot cross-check: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -227,7 +227,6 @@ def det_comparison(n: int) -> dict:
     except ValueError as exc:
         raise ExactnessError(f"1 / det(R_{n}): {exc}") from None
     return {
-        "n": n,
         "formula": formula,
         "oracle": oracle,
         "magnitude_match": abs(formula) == abs(oracle),

@@ -3,7 +3,7 @@ readings of matrices, and exact cross-checks against reference term files.
 
 A b-file is the OEIS interchange format: one "index value" pair per line,
 indices consecutive, '#' starting a comment line.  The format carries no
-sequence id, so records track the id alongside the terms.
+sequence id, and a record is only an offset and its terms.
 
 Generators build only the terms a reading returns: A007318 takes the
 complete antidiagonals of the symmetric Pascal array, which are the rows of
@@ -63,16 +63,16 @@ _EMIT_LINES = 1000
 _PARSE_CHARS = 1 << 15
 
 
-class SequenceRecord(namedtuple("SequenceRecord", "oeis_id offset terms")):
+class SequenceRecord(namedtuple("SequenceRecord", "offset terms")):
     """A run of consecutive integer sequence terms; offset indexes terms[0]."""
 
     __slots__ = ()
 
-    def __new__(cls, oeis_id, offset, terms):
+    def __new__(cls, offset, terms):
         terms = tuple(terms)
         if not terms:
             raise ValueError("a sequence record needs at least one term")
-        return super().__new__(cls, oeis_id, offset, terms)
+        return super().__new__(cls, offset, terms)
 
 
 def emit_bfile_blocks(rec: SequenceRecord):
@@ -99,7 +99,7 @@ def _read_run(run: str, prev):
     return indices, fields[1::2]
 
 
-def parse_bfile(stream, oeis_id: str = "") -> SequenceRecord:
+def parse_bfile(stream) -> SequenceRecord:
     """Parse b-file text from an open text stream, a file opened in text
     mode or an io.StringIO; '#' comment lines and blank lines are skipped.
 
@@ -117,16 +117,24 @@ def parse_bfile(stream, oeis_id: str = "") -> SequenceRecord:
     match, and only a line that fails it is tested for being blank or a
     comment.  Malformed or out-of-order lines raise ValueError naming the
     offending line number; a field past the interpreter's int <-> str digit
-    limit raises the interpreter's own ValueError, and a read error, such
-    as a UnicodeDecodeError, is raised as the stream raises it.  Only the
-    line-by-line reading skips or raises, so the bulk reading changes no
-    record and no error.
+    limit raises the interpreter's own ValueError.  The codec counts a
+    UnicodeDecodeError's position from the block it was decoding, so one
+    from a slice read is raised as ValueError("after line L: <its text>"),
+    L the last line read in full; other read errors are raised as the
+    stream raises them.  Only the line-by-line reading skips or raises, so
+    the bulk reading changes no record and no error.
     """
     line_re, run_re = re.compile(_LINE), re.compile(_RUN)
     prev = None
     terms = []
     lineno = 0
-    while chunk := stream.read(_PARSE_CHARS) + stream.readline():
+    while True:
+        try:
+            chunk = stream.read(_PARSE_CHARS) + stream.readline()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"after line {lineno}: {exc}") from exc
+        if not chunk:
+            break
         pos = 0
         while pos < len(chunk):
             run = run_re.match(chunk, pos)
@@ -159,7 +167,7 @@ def parse_bfile(stream, oeis_id: str = "") -> SequenceRecord:
     if not terms:
         raise ValueError("no terms found")
     # the indices are consecutive, so the last one and the count fix the first
-    return SequenceRecord(oeis_id, prev - len(terms) + 1, terms)
+    return SequenceRecord(prev - len(terms) + 1, terms)
 
 
 def _triangle_rows(m) -> list:
@@ -192,17 +200,17 @@ def det_inverse_sequence(max_n: int) -> SequenceRecord:
     for c, d in zip(g_matrix(max_n).diag, d_matrix(max_n).diag):
         det = exact_div(det * c * c, d)
         terms.append(det)
-    return SequenceRecord("A060739", 1, tuple(terms))
+    return SequenceRecord(1, terms)
 
 
-def crosscheck(
-    reference: SequenceRecord, generated: SequenceRecord, magnitude_only: bool = False
-) -> CheckReport:
+def crosscheck(oeis_id: str, reference: SequenceRecord, generated: SequenceRecord,
+               magnitude_only: bool = False) -> CheckReport:
     """Term-by-term comparison over the overlapping index range.
 
-    magnitude_only compares absolute values, for catalogued sequences whose
-    sign convention is not pinned down; sign_pattern exists to inspect the
-    signs themselves.  The report's n is the number of indices compared.
+    The report is named "crosscheck:<oeis_id>" and its n is the number of
+    indices compared.  magnitude_only compares absolute values, for
+    catalogued sequences whose sign convention is not pinned down;
+    sign_pattern exists to inspect the signs themselves.
     """
     start = time.perf_counter()
     lo = max(reference.offset, generated.offset)
@@ -215,9 +223,7 @@ def crosscheck(
         expected, actual = tuple(map(abs, expected)), tuple(map(abs, actual))
     first = next(compress(range(hi - lo), map(ne, expected, actual)), None)
     mismatch = None if first is None else (lo + first, 0, expected[first], actual[first])
-    return CheckReport(
-        f"crosscheck:{reference.oeis_id}", hi - lo, mismatch, time.perf_counter() - start
-    )
+    return CheckReport(f"crosscheck:{oeis_id}", hi - lo, mismatch, time.perf_counter() - start)
 
 
 def sign_pattern(terms) -> str:
@@ -247,13 +253,13 @@ def generated_sequence(oeis_id: str, n: int) -> SequenceRecord:
     # rule would return row 0 for n = 0
     _require_size(n)
     if oeis_id == "A000984":
-        return SequenceRecord(oeis_id, 0, g_matrix(n).diag)
+        return SequenceRecord(0, g_matrix(n).diag)
     if oeis_id == "A007318":
-        return SequenceRecord(oeis_id, 0, chain.from_iterable(_pascal_triangle_rows(n)))
+        return SequenceRecord(0, chain.from_iterable(_pascal_triangle_rows(n)))
     if oeis_id == "A094527":
-        return SequenceRecord(oeis_id, 0, _triangle_rows(l_matrix(n)))
+        return SequenceRecord(0, _triangle_rows(l_matrix(n)))
     if oeis_id == "A110162":
-        return SequenceRecord(oeis_id, 0, _triangle_rows(l_inverse_matrix(n)))
+        return SequenceRecord(0, _triangle_rows(l_inverse_matrix(n)))
     if oeis_id == "A060739":
         return det_inverse_sequence(n)
     if oeis_id == "A068555":
@@ -278,7 +284,7 @@ def super_catalan_candidates(n: int) -> dict:
     inner = from_rows(row[1:] for row in s[1:])
     halved = [exact_div(x, 2) for x in antidiagonal_sequence(inner)]
     return {
-        "rows": SequenceRecord("A068555", 0, tuple(flat_rows)),
-        "antidiagonals": SequenceRecord("A068555", 0, tuple(anti)),
-        "halved_antidiagonals": SequenceRecord("A068555", 0, tuple(halved)),
+        "rows": SequenceRecord(0, flat_rows),
+        "antidiagonals": SequenceRecord(0, anti),
+        "halved_antidiagonals": SequenceRecord(0, halved),
     }

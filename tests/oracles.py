@@ -32,7 +32,7 @@ def _is_decimal_field(field: str) -> bool:
     return bool(digits) and all(c in "0123456789" for c in digits)
 
 
-def parse_bfile_by_fields(text: str, oeis_id: str = "") -> SequenceRecord:
+def parse_bfile_by_fields(text: str) -> SequenceRecord:
     """Line-by-line b-file reader: a stripped line that is empty or starts
     with '#' is skipped; any other must split into exactly two fields, each
     an optional '-' and ASCII digits, with consecutive indices.  Raises the
@@ -53,7 +53,7 @@ def parse_bfile_by_fields(text: str, oeis_id: str = "") -> SequenceRecord:
         terms.append(int(fields[1]))
     if not terms:
         raise ValueError("no terms found")
-    return SequenceRecord(oeis_id, offset, terms)
+    return SequenceRecord(offset, terms)
 
 
 def matrix_csv_text(dense) -> str:

@@ -142,18 +142,17 @@ def test_criterion_8_bfile_round_trip_and_vendored_reference():
     detail = ""
     for i in range(100):
         rec = SequenceRecord(
-            "T",
             rng.randint(-10, 90),
             tuple(rng.randint(-10**30, 10**30)
                   for _ in range(rng.randint(1, 40))),
         )
-        if parse_bfile(io.StringIO("".join(emit_bfile_blocks(rec))), oeis_id="T") != rec:
+        if parse_bfile(io.StringIO("".join(emit_bfile_blocks(rec)))) != rec:
             ok, detail = False, f"round-trip failure on record {i}"
             break
     if ok:
         with open(A000984_BFILE) as bfile:
-            reference = parse_bfile(bfile, oeis_id="A000984")
-        rep = crosscheck(reference, generated_sequence("A000984", 21))
+            reference = parse_bfile(bfile)
+        rep = crosscheck("A000984", reference, generated_sequence("A000984", 21))
         if not (rep.passed and rep.n >= 21):
             ok, detail = False, "vendored A000984 crosscheck failed"
     report("criterion 8: b-file round-trip on 100 random records and vendored "

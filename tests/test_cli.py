@@ -337,6 +337,24 @@ def test_undecodable_reference_exits_2(tmp_path):
     assert "can't decode byte 0xff" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_undecodable_byte_is_located_by_the_last_line_read(tmp_path):
+    # the codec counts its position from the block it was decoding, so the
+    # message names the last line read in full: the bad byte, at the start of
+    # line 6804, lies in the slice after it
+    _, text, _ = _main_in_process(["oeis", "--id", "A007318", "--n", "300"])
+    lines = text.encode().splitlines(keepends=True)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"".join(lines[:6803]) + b"\xff" + b"".join(lines[6803:]))
+    res = run_cli("oeis", "--id", "A007318", "--n", "300", "--bfile", str(bad),
+                  env={**os.environ, "PYTHONUTF8": "1"})
+    assert (res.returncode, res.stdout) == (2, "")
+    prefix = "recpascal: cannot read b-file: after line "
+    assert res.stderr.startswith(prefix) and "can't decode byte 0xff" in res.stderr
+    named = int(res.stderr[len(prefix):].split(":", 1)[0])
+    assert named < 6804
+    assert len(b"".join(lines[named:6803])) < sequences._PARSE_CHARS
+
+
 def test_oeis_missing_reference_file_exits_2(tmp_path):
     res = run_cli("oeis", "--id", "A000984", "--bfile", str(tmp_path / "nope.txt"))
     assert res.returncode == 2
@@ -379,6 +397,17 @@ def test_oeis_candidates_assert_nothing(tmp_path):
     obj = json.loads(res.stdout)
     assert obj["asserted"] is False
     assert set(obj["candidates"]) == {"rows", "antidiagonals", "halved_antidiagonals"}
+    assert {rep["name"] for rep in obj["candidates"].values()} == {"crosscheck:A068555"}
+
+
+@pytest.mark.parametrize("oeis_id", GENERATED_IDS)
+def test_crosscheck_report_is_named_by_the_id_in_process(tmp_path, oeis_id):
+    _, emitted, _ = _main_in_process(["oeis", "--id", oeis_id, "--n", "6"])
+    ref = tmp_path / "ref.txt"
+    ref.write_text(emitted)
+    code, out, err = _main_in_process(["oeis", "--id", oeis_id, "--n", "6", "--bfile", str(ref)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"]["name"] == f"crosscheck:{oeis_id}"
 
 
 def test_bench_reports_equality_and_bits():

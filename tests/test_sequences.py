@@ -35,31 +35,31 @@ from oracles import (
 )
 
 
-def _parse(text: str, oeis_id: str = ""):
+def _parse(text: str):
     """parse_bfile on text held in memory, read as an open text stream."""
-    return parse_bfile(io.StringIO(text), oeis_id=oeis_id)
+    return parse_bfile(io.StringIO(text))
 
 
 def test_record_coerces_terms_to_tuple():
-    rec = SequenceRecord("A000984", 0, [1, 2, 6])
+    rec = SequenceRecord(0, [1, 2, 6])
     assert rec.terms == (1, 2, 6)
     assert type(rec.terms) is tuple
-    assert SequenceRecord("X", 0, iter([4, 5])).terms == (4, 5)
+    assert SequenceRecord(0, iter([4, 5])).terms == (4, 5)
 
 
 def test_record_rejects_empty():
     with pytest.raises(ValueError):
-        SequenceRecord("A000984", 0, ())
+        SequenceRecord(0, ())
     with pytest.raises(ValueError):
-        SequenceRecord("A000984", 0, [])
+        SequenceRecord(0, [])
 
 
 def test_record_is_an_immutable_value():
-    rec = SequenceRecord("X", 1, [1, 2])
-    assert rec == SequenceRecord("X", 1, (1, 2))
-    assert hash(rec) == hash(SequenceRecord("X", 1, (1, 2)))
-    for other in (SequenceRecord("Y", 1, (1, 2)), SequenceRecord("X", 0, (1, 2)),
-                  SequenceRecord("X", 1, (1, 3))):
+    assert SequenceRecord._fields == ("offset", "terms")
+    rec = SequenceRecord(1, [1, 2])
+    assert rec == SequenceRecord(1, (1, 2))
+    assert hash(rec) == hash(SequenceRecord(1, (1, 2)))
+    for other in (SequenceRecord(0, (1, 2)), SequenceRecord(1, (1, 3))):
         assert rec != other
     with pytest.raises(AttributeError):
         rec.terms = (3,)
@@ -68,19 +68,19 @@ def test_record_is_an_immutable_value():
 
 
 def test_emit_pinned():
-    rec = SequenceRecord("X", 5, (10, -20, 30))
+    rec = SequenceRecord(5, (10, -20, 30))
     assert "".join(emit_bfile_blocks(rec)) == "5 10\n6 -20\n7 30\n"
 
 
 def test_parse_round_trip():
-    rec = SequenceRecord("A060739", 1, (1, -2, -36))
-    again = _parse("".join(emit_bfile_blocks(rec)), oeis_id="A060739")
+    rec = SequenceRecord(1, (1, -2, -36))
+    again = _parse("".join(emit_bfile_blocks(rec)))
     assert again == rec
 
 
 def test_parse_skips_comments_and_blanks():
     text = "# a comment\n\n0 1\n1 2\n# interior comment\n2 6\n"
-    rec = _parse(text, oeis_id="A000984")
+    rec = _parse(text)
     assert rec.offset == 0 and rec.terms == (1, 2, 6)
 
 
@@ -140,7 +140,7 @@ def _bfile_texts(draw):
 
 def _parse_outcome(parse, text):
     try:
-        return parse(text, oeis_id="T")
+        return parse(text)
     except ValueError as exc:
         return str(exc)
 
@@ -227,9 +227,9 @@ def test_one_line_end_text_is_sliced_and_read_as_the_line_by_line_reader(end, tm
     # another str.splitlines() boundary is one slice, read line for line
     text = "".join(f"{k} {k * k}{end}" for k in range(1, 5000))
     assert len(text) > sequences._PARSE_CHARS
-    expected = parse_bfile_by_fields(text, oeis_id="T")
+    expected = parse_bfile_by_fields(text)
     stream = _SliceRecorder(io.StringIO(text))
-    assert parse_bfile(stream, oeis_id="T") == expected
+    assert parse_bfile(stream) == expected
     slices = stream.slices()
     assert "".join(slices) == text
     if "\n" in end:
@@ -242,7 +242,7 @@ def test_one_line_end_text_is_sliced_and_read_as_the_line_by_line_reader(end, tm
         path.write_bytes(text.encode())
         with open(path) as bfile:
             stream = _SliceRecorder(bfile)
-            assert parse_bfile(stream, oeis_id="T") == expected
+            assert parse_bfile(stream) == expected
         slices = stream.slices()
         assert len(slices) > 1 and "".join(slices) == text.replace(end, "\n")
         assert all(piece.endswith("\n") for piece in slices)
@@ -326,7 +326,7 @@ def test_emit_blocks_join_to_one_line_per_term(data, block_lines):
     # records of one term up to three blocks plus one
     terms = data.draw(st.lists(st.integers(-10**30, 10**30), min_size=1,
                                max_size=3 * block_lines + 1))
-    rec = SequenceRecord("T", data.draw(st.integers(-50, 50)), terms)
+    rec = SequenceRecord(data.draw(st.integers(-50, 50)), terms)
     expected = "".join(str(rec.offset + k) + " " + str(t) + "\n"
                        for k, t in enumerate(terms))
     with pytest.MonkeyPatch.context() as mp:
@@ -356,8 +356,8 @@ def test_round_trip_100_randomized_records():
         terms = tuple(
             rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 40))
         )
-        rec = SequenceRecord("T", offset, terms)
-        assert _parse("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
+        rec = SequenceRecord(offset, terms)
+        assert _parse("".join(emit_bfile_blocks(rec))) == rec
 
 
 @given(
@@ -365,8 +365,8 @@ def test_round_trip_100_randomized_records():
     st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=30),
 )
 def test_round_trip_property(offset, terms):
-    rec = SequenceRecord("T", offset, tuple(terms))
-    assert _parse("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
+    rec = SequenceRecord(offset, tuple(terms))
+    assert _parse("".join(emit_bfile_blocks(rec))) == rec
 
 
 _huge_terms = st.builds(
@@ -386,9 +386,9 @@ _huge_terms = st.builds(
 def test_round_trip_property_past_the_digit_limit(offset, small, huge):
     # terms longer than the interpreter's default 4300-digit int <-> str limit
     before = sys.get_int_max_str_digits()
-    rec = SequenceRecord("T", offset, tuple(small) + tuple(huge))
+    rec = SequenceRecord(offset, tuple(small) + tuple(huge))
     with unlimited_int_digits():
-        assert _parse("".join(emit_bfile_blocks(rec)), oeis_id="T") == rec
+        assert _parse("".join(emit_bfile_blocks(rec))) == rec
     assert sys.get_int_max_str_digits() == before
 
 
@@ -407,7 +407,7 @@ def test_readings_reject_non_square():
 
 def test_det_inverse_sequence_pinned():
     rec = det_inverse_sequence(3)
-    assert rec.oeis_id == "A060739" and rec.offset == 1
+    assert rec.offset == 1
     assert rec.terms == (1, -2, -36)
 
 
@@ -440,58 +440,59 @@ def test_sign_ledger_to_16_is_unchanged():
 
 
 def test_crosscheck_passes_on_identical_records():
-    rec = SequenceRecord("A000984", 0, tuple(comb(2 * m, m) for m in range(10)))
-    rep = crosscheck(rec, rec)
+    rec = SequenceRecord(0, tuple(comb(2 * m, m) for m in range(10)))
+    rep = crosscheck("A000984", rec, rec)
     assert rep.passed and rep.n == 10 and rep.name == "crosscheck:A000984"
 
 
 def test_crosscheck_reports_first_bad_index():
-    ref = SequenceRecord("X", 0, (1, 2, 6, 20, 70))
-    bad = SequenceRecord("X", 0, (1, 2, 6, 21, 70))
-    rep = crosscheck(ref, bad)
+    ref = SequenceRecord(0, (1, 2, 6, 20, 70))
+    bad = SequenceRecord(0, (1, 2, 6, 21, 70))
+    rep = crosscheck("A000984", ref, bad)
     assert not rep.passed
     assert rep.counterexample == (3, 0, 20, 21)
 
 
 def test_crosscheck_uses_the_overlap_only():
-    ref = SequenceRecord("X", 0, (1, 2, 6, 20))
-    gen = SequenceRecord("X", 2, (6, 20, 70))
-    rep = crosscheck(ref, gen)
+    ref = SequenceRecord(0, (1, 2, 6, 20))
+    gen = SequenceRecord(2, (6, 20, 70))
+    rep = crosscheck("A000984", ref, gen)
     assert rep.passed and rep.n == 2
 
 
 def test_crosscheck_mismatch_at_the_last_overlapping_index():
-    ref = SequenceRecord("X", 0, (1, 2, 6, 20))
-    gen = SequenceRecord("X", 1, (2, 6, 21, 70, 252))
-    rep = crosscheck(ref, gen)
+    ref = SequenceRecord(0, (1, 2, 6, 20))
+    gen = SequenceRecord(1, (2, 6, 21, 70, 252))
+    rep = crosscheck("A000984", ref, gen)
     assert rep.n == 3 and rep.counterexample == (3, 0, 20, 21)
 
 
 def test_crosscheck_mismatch_inside_a_shifted_overlap():
-    ref = SequenceRecord("X", 3, (20, 70, 252, 924))
-    gen = SequenceRecord("X", 1, (2, 6, 20, 71, 252, 925, 3432))
-    rep = crosscheck(ref, gen)
+    ref = SequenceRecord(3, (20, 70, 252, 924))
+    gen = SequenceRecord(1, (2, 6, 20, 71, 252, 925, 3432))
+    rep = crosscheck("A000984", ref, gen)
     assert rep.n == 4 and rep.counterexample == (4, 0, 70, 71)
 
 
 def test_crosscheck_rejects_disjoint_ranges():
     with pytest.raises(ValueError, match="overlap"):
-        crosscheck(SequenceRecord("X", 0, (1,)), SequenceRecord("X", 5, (1,)))
+        crosscheck("A000984", SequenceRecord(0, (1,)), SequenceRecord(5, (1,)))
 
 
 def test_crosscheck_magnitude_only_mode():
-    ref = SequenceRecord("A060739", 1, (1, 2, 36))
+    ref = SequenceRecord(1, (1, 2, 36))
     gen = det_inverse_sequence(3)
-    assert not crosscheck(ref, gen).passed
-    assert crosscheck(ref, gen, magnitude_only=True).passed
+    assert not crosscheck("A060739", ref, gen).passed
+    assert crosscheck("A060739", ref, gen, magnitude_only=True).passed
 
 
 def test_crosscheck_sign_only_mismatch_and_magnitude_counterexample():
-    ref = SequenceRecord("X", 0, (1, -2, 36, 7200))
-    gen = SequenceRecord("X", 0, (1, -2, -36, -7201))
-    assert crosscheck(ref, gen).counterexample == (2, 0, 36, -36)
+    ref = SequenceRecord(0, (1, -2, 36, 7200))
+    gen = SequenceRecord(0, (1, -2, -36, -7201))
+    assert crosscheck("A060739", ref, gen).counterexample == (2, 0, 36, -36)
     # magnitude_only skips the sign at index 2 and reports absolute values
-    assert crosscheck(ref, gen, magnitude_only=True).counterexample == (3, 0, 7200, 7201)
+    assert crosscheck("A060739", ref, gen,
+                      magnitude_only=True).counterexample == (3, 0, 7200, 7201)
 
 
 def test_sign_pattern():
@@ -531,17 +532,17 @@ def test_generated_rejects_unknown_and_unasserted_ids():
 
 def test_vendored_reference_crosscheck():
     with open(A000984_BFILE) as bfile:
-        reference = parse_bfile(bfile, oeis_id="A000984")
+        reference = parse_bfile(bfile)
     assert reference.offset == 0
     assert len(reference.terms) >= 21
     generated = generated_sequence("A000984", 21)
-    rep = crosscheck(reference, generated)
+    rep = crosscheck("A000984", reference, generated)
     assert rep.passed and rep.n == 21
 
 
 def test_vendored_reference_pinned_tail():
     with open(A000984_BFILE) as bfile:
-        reference = parse_bfile(bfile, oeis_id="A000984")
+        reference = parse_bfile(bfile)
     assert reference.terms[20] == 137846528820
 
 
