@@ -1,10 +1,12 @@
 """Race the two inversion routes and watch coefficient growth.
 
-The factorization route works in plain integers, with one checked halving
-per entry at the end.  Gauss-Jordan eliminates on integer rows by
-primitive-row steps: the two multipliers are reduced by their gcd, and the
-new row is divided by the gcd of its entries.  It forms rationals only
-when it reads the inverse off the diagonal.  Both are exact, and their
+The factorization route works in plain integers: two columns of the
+inverse from the factors, each entry halved with a check, and the rest by
+the Hankel displacement recurrence, one checked division per entry.
+Gauss-Jordan eliminates on integer rows by primitive-row steps: the two
+multipliers are reduced by their gcd, and the new row is divided by the
+gcd of its entries.  It forms rationals only when it reads the inverse
+off the diagonal.  Both are exact, and their
 outputs are asserted equal before any timing is reported.
 """
 from recpascal.cli import bench

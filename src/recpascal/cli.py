@@ -17,6 +17,10 @@ any of it, so a failing input leaves an --output file untouched.  Matrix
 text, like b-file text, is rendered as it is written: a row at a time.
 oeis --bfile parses its reference from the open file a slice at a time,
 so a malformed line may be reported before an undecodable byte further on.
+oeis --id A068555 prints its three candidate readings as three b-files,
+each under a "# candidate reading:" comment and each restarting at index 0,
+so that output is no reference for --bfile: reading it back is an input
+error, index 0 does not follow.
 
 Exit codes: 0 success / all checks passed, 1 a check failed, or outside
 check a route's checked exact division failed or det's oracle met a zero

@@ -2,10 +2,16 @@
 path that inverts the reciprocal Pascal matrix through its triangular and
 diagonal factors.
 
-The inverse R^-1 = G L^-T D^-1 L^-1 G is assembled in plain ints: only
+The inverse R^-1 = G L^-T D^-1 L^-1 G is built in plain ints: only
 D^-1 = diag(1, -1/2, 1/2, ...) is fractional, and D' = 2 D^-1 is integer.
-So the route forms 2 R^-1 = G L^-T D' L^-1 G and halves every entry with a
-checked division; that halving is the integrality claim, checked.
+The route applies G L^-T D' L^-1 G to two vectors, e_0 and k = (0, 1, ...,
+n-1), and halves the results with a checked division: c = R^-1 e_0 and
+v = R^-1 k.  R = F H F with F = diag(i!) and H[i][j] = 1/(i+j)! a Hankel
+matrix, and the inverse of a Hankel matrix has displacement rank 2, so
+every other entry of R^-1 follows from c and v by a recurrence, O(1)
+products and one checked division each: O(n^2) work in all, where the
+congruence L^-T D' L^-1 costs n^3/6 products.  Every division is checked,
+so the integrality claim is checked at every entry.
 
 The super Catalan array S has one route, matrices.super_catalan_matrix, and
 every check compares against it; the tests pin it to the factorial ratio.
@@ -14,9 +20,10 @@ index pair as one two-sided integer product of math.comb values.  Its folded
 one-sided form is entrywise L D L^T, which check_ldl compares.
 
 Checks never raise on a mathematical failure.  A check body returns its
-first counterexample, check_integrality's for an odd entry of 2 R^-1 too;
-_check times the body, builds the CheckReport and makes an ExactnessError
-raised on the way, say by a faulty generator, the counterexample.  The
+first counterexample, check_integrality's for an entry of R^-1 that the
+route could not divide out exactly too; _check times the body, builds the
+CheckReport and makes an ExactnessError raised on the way, say by a faulty
+generator, the counterexample.  The
 production routes, r_inverse_via_factorization here and det_inverse_sequence
 in sequences, raise ExactnessError instead when a claimed integer is not one,
 and det_comparison when a leading minor of R is zero.
@@ -157,12 +164,13 @@ def check_l_inverse_column(n: int) -> CheckReport:
                                from_rows([row[0]] for row in linv)))
 
 
-def _doubled_r_inverse(n: int) -> Matrix:
-    """2 R^-1 = G L^-T D' L^-1 G in plain ints, with D' = 2 D^-1 integer."""
-    linv = l_inverse_matrix(n)
-    d2 = Diagonal(tuple(exact_div(2, d) for d in d_matrix(n).diag))
-    g = g_matrix(n)
-    return matmul(matmul(g, matmul(matmul(linv.T, d2), linv)), g)
+class _InexactEntry(ExactnessError):
+    """A checked division of the inverse route left a remainder: entry
+    (i, j) of R^-1 came out as a / b, which is no integer."""
+
+    def __init__(self, message: str, i: int, j: int, a: int, b: int):
+        super().__init__(message)
+        self.entry = (i, j, a, b)
 
 
 def _first_odd(m: Matrix):
@@ -180,15 +188,80 @@ def _halve(m: Matrix) -> Matrix:
     return from_rows([x >> 1 for x in row] for row in m)
 
 
+def _r_inverse_columns(n: int) -> tuple[tuple, tuple]:
+    """c = R^-1 e_0 and v = R^-1 k, k = (0, 1, ..., n-1), as int tuples.
+
+    2 R^-1 [e_0 | k] = G L^-T D' L^-1 G [e_0 | k], with D' = 2 D^-1
+    integer, is formed right to left as n x 2 products, so each costs
+    O(n^2); G [e_0 | k] is written down directly.  In the checked halving
+    the first odd entry in row-major order raises: one of 2c, a column of
+    R^-1, as _InexactEntry at (i, 0), one of 2v as exact_div's error.
+    """
+    linv = l_inverse_matrix(n)
+    d2 = Diagonal(tuple(exact_div(2, d) for d in d_matrix(n).diag))
+    g = g_matrix(n)
+    gk = from_rows([int(m == 0), m * b] for m, b in enumerate(g.diag))
+    doubled = matmul(g, matmul(linv.T, matmul(d2, matmul(linv, gk))))
+    try:
+        c, v = zip(*_halve(doubled))
+    except ExactnessError as exc:
+        i, j, x = _first_odd(doubled)
+        if j:
+            raise
+        raise _InexactEntry(str(exc), i, 0, x, 2) from None
+    return c, v
+
+
+def _divide_entries(i: int, j0: int, nums: list, dens) -> list:
+    """nums[k] / dens[k], each checked, as entries (i, j0 + k) of R^-1; the
+    first remainder raises _InexactEntry naming its entry."""
+    try:
+        return list(map(exact_div, nums, dens))
+    except ExactnessError as exc:
+        j, a, b = next((j, a, b) for j, (a, b) in enumerate(zip(nums, dens), j0) if a % b)
+        raise _InexactEntry(f"entry ({i}, {j}) of R^-1: {exc}", i, j, a, b) from None
+
+
+def _fill(c: tuple, v: tuple) -> Matrix:
+    """The symmetric Y = R^-1 from its column c = Y e_0 and v = Y k.
+
+    R = F H F with F = diag(i!) and H[i][j] = 1/(i+j)! a Hankel matrix, so
+    Z H - H Z^T = h e_0^T - e_0 h^T for the down-shift Z, and multiplying
+    by H^-1 on both sides gives, for 0 <= i < n and 0 <= j < n - 1,
+
+        (j+1) Y[i][j+1] - (i+1) Y[i+1][j] = v_i c_j - c_i v_j,  Y[n][.] = 0.
+
+    At i = n - 1 that is the last row; top-down from row 0 = c, it gives
+    row i + 1 right of the diagonal, its last entry taken from the last
+    row by symmetry.  Every entry costs O(1) products and one checked
+    division; the lower triangle is the mirror of the upper.
+    """
+    n = len(c)
+    cl, vl = c[-1], v[-1]
+    last = [cl] + _divide_entries(
+        n - 1, 1, [vl * cj - cl * vj for cj, vj in zip(c, v[:-1])], range(1, n))
+    upper = [list(c)]
+    for i in range(n - 2):
+        prev, ci, vi, k = upper[-1], c[i], v[i], i + 1
+        nums = [jj * y - (vi * cj - ci * vj)
+                for jj, y, cj, vj in zip(range(k + 1, n), prev[2:], c[k:], v[k:])]
+        upper.append(_divide_entries(k, k, nums, [k] * len(nums)) + [last[k]])
+    if n > 1:
+        upper.append(last[-1:])
+    return from_rows([upper[j][i - j] for j in range(i)] + upper[i] for i in range(n))
+
+
 def r_inverse_via_factorization(n: int) -> Matrix:
     """Integer inverse of the reciprocal Pascal matrix via its factors.
 
-    Sandwiches the doubled reciprocal alternating diagonal between the
-    inverted triangle and its transpose, scales by the central binomials,
-    and halves every entry with a checked division: a failed integrality
-    claim aborts rather than rounds.
+    Two columns of R^-1 come from the factors, G L^-T D' L^-1 G applied to
+    two vectors and halved with a check; the Hankel displacement of R then
+    fills every other entry in O(n^2), each by one checked division.  A
+    remainder aborts rather than rounds: _InexactEntry names the entry.
+    The divisions check that each entry is an integer, not that it is the
+    right one; check_integrality multiplies back.
     """
-    return _halve(_doubled_r_inverse(n))
+    return _fill(*_r_inverse_columns(n))
 
 
 def r_inverse_00(n: int) -> int:
@@ -243,16 +316,17 @@ def check_integrality(n: int) -> CheckReport:
     of R scaled by the lcm of its denominators, and compared with
     diag(lcm_i); only a mismatching entry is divided back by its row's lcm
     to report the entry of R . R^-1.  For a square R that makes the checked
-    matrix the unique inverse, so no second inversion is needed.
+    matrix the unique inverse, so no second inversion is needed.  An entry
+    the route cannot divide out exactly, a / b, is reported where it was
+    being formed as (i, j, "an integer entry", a / b).
     """
     from fractions import Fraction
 
-    doubled = _doubled_r_inverse(n)
     try:
-        rinv = _halve(doubled)
-    except ExactnessError:
-        i, j, x = _first_odd(doubled)
-        return (i, j, "an integer entry", Fraction(x, 2))
+        rinv = r_inverse_via_factorization(n)
+    except _InexactEntry as exc:
+        i, j, a, b = exc.entry
+        return (i, j, "an integer entry", Fraction(a, b))
     scaled, lcms = _scaled_rows(reciprocal_pascal(n))
     product = matmul(from_rows(scaled), rinv)
     mismatch = _first_mismatch(

@@ -6,13 +6,13 @@ equality is plain ==.  Diagonal matrices get the lightweight Diagonal
 wrapper so products with them stay O(n^2).  A dense product forms each
 entry only over the overlap of its row's and column's nonzero spans, so a
 triangular or banded operand costs no multiplications by its known zeros;
-and when the operands have the congruence form a = b^T D, as both of the
-paper's results do (R^-1 = G L^-T D^-1 L^-1 G and S = L D L^T), it forms
-only the upper triangle of the symmetric product and mirrors it.  Both are
-read off the operands, exactly, in O(n^2); no caller selects them.  Only
-the functions that build a Fraction import fractions, here and in linalg
-and identities, so a command that never makes one, such as invert or a
-plain oeis emit, starts without it.
+and when the operands have the congruence form a = b^T D, as in the
+checks of S = L D L^T and of von Szily's identity, it forms only the upper
+triangle of the symmetric product and mirrors it.  Both are read off the
+operands, exactly, in O(n^2); no caller selects them.  Only the functions
+that build a Fraction import fractions, here and in linalg and
+identities, so a command that never makes one, such as invert or a plain
+oeis emit, starts without it.
 
 Generators fill rows by recurrence instead of recomputing each coefficient
 from scratch: the symmetric Pascal array by prefix sums, integer additions
@@ -218,9 +218,9 @@ def matmul(a, b):
     zero; an empty overlap gives the int 0, and a row nonzero at both ends
     takes the plain sum with every column, so a dense product pays nothing
     per entry for the spans.  When a = b^T D for a diagonal D, as in the
-    congruences L D L^T and L^-T D' L^-1, the product is symmetric: only the
-    entries with i <= j are formed and the rest mirrored.  Entries equal the
-    full sums by value.
+    congruence L D L^T, the product is symmetric: only the entries with
+    i <= j are formed and the rest mirrored.  Entries equal the full sums
+    by value.
     """
     if isinstance(a, Diagonal):
         if a.n != b.shape[0]:

@@ -5,7 +5,8 @@ factorials, determinants from cofactor expansion or a pivoting Bareiss
 elimination of their own, det(R^-1) from the Gauss-Jordan inverse of R
 rather than from the leading minors of R itself, R·X = I from
 row-scaled integer products of their own, matrix products from the full
-triple sum, with no zero span skipped and no symmetry used, b-files from a
+triple sum, with no zero span skipped and no symmetry used, R^-1 from the
+whole O(n^3) congruence of its factors, b-files from a
 reader that splits each stripped line into fields instead of matching a
 pattern, and matrix text as one whole string per format, its JSON from
 json.dumps.
@@ -21,7 +22,14 @@ from functools import lru_cache
 from math import factorial, lcm
 from pathlib import Path
 
-from recpascal import SequenceRecord, invert_rational, reciprocal_pascal
+from recpascal import (
+    SequenceRecord,
+    d_matrix,
+    g_matrix,
+    invert_rational,
+    l_inverse_matrix,
+    reciprocal_pascal,
+)
 
 #: Vendored reference b-file of the central binomials C(2m, m), m = 0..30.
 A000984_BFILE = Path(__file__).parent / "data" / "b000984.txt"
@@ -99,6 +107,21 @@ def matmul_triple_sum(a, b) -> list:
     assert all(len(row) == inner for row in a)
     return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
             for i in range(rows)]
+
+
+def r_inverse_by_congruence(n: int) -> list:
+    """R^-1 as nested lists, by the factorization's O(n^3) sandwich:
+    2 R^-1 = G L^-T D' L^-1 G with D' = 2 D^-1, the congruence a full
+    triple sum, then every entry halved with a remainder check."""
+    linv = l_inverse_matrix(n)
+    d2 = [Fraction(2, d) for d in d_matrix(n).diag]
+    assert all(x.denominator == 1 for x in d2)
+    core = matmul_triple_sum([[linv[k][i] * int(d2[k]) for k in range(n)] for i in range(n)],
+                             linv)
+    g = g_matrix(n).diag
+    doubled = [[g[i] * x * g[j] for j, x in enumerate(row)] for i, row in enumerate(core)]
+    assert all(x % 2 == 0 for row in doubled for x in row)
+    return [[x // 2 for x in row] for row in doubled]
 
 
 def det_cofactor(m) -> Fraction:

@@ -281,6 +281,22 @@ def test_a_route_exactness_error_exits_1_without_traceback(monkeypatch, tmp_path
     assert not out.exists()
 
 
+def test_a_failed_fill_division_names_its_entry(monkeypatch):
+    # one off in v = R^-1 (0, 1, ..., 7) leaves a remainder in the last
+    # row's division by 5: invert prints one line naming the entry, and the
+    # integrality check reports the same entry as the non-integer it found
+    c, v = identities._r_inverse_columns(8)
+    planted = v[:4] + (v[4] + 1,) + v[5:]
+    monkeypatch.setattr(identities, "_r_inverse_columns", lambda n: (c, planted))
+    assert _main_in_process(["invert", "--n", "8"]) == (
+        1, "", "recpascal: an exact division failed: "
+               "entry (7, 5) of R^-1: -166489752 is not divisible by 5\n")
+    code, out, err = _main_in_process(["check", "--checks", "integrality", "--n", "8"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)[0]["counterexample"] == {
+        "i": 7, "j": 5, "expected": "an integer entry", "actual": "-166489752/5"}
+
+
 def test_oeis_emit_without_reference():
     res = run_cli("oeis", "--id", "A094527", "--n", "3")
     assert res.returncode == 0
@@ -398,6 +414,16 @@ def test_oeis_candidates_assert_nothing(tmp_path):
     assert obj["asserted"] is False
     assert set(obj["candidates"]) == {"rows", "antidiagonals", "halved_antidiagonals"}
     assert {rep["name"] for rep in obj["candidates"].values()} == {"crosscheck:A068555"}
+
+
+def test_oeis_candidates_emit_does_not_read_back(tmp_path):
+    # the three candidate readings are three b-files, each restarting at
+    # index 0, so the emit is no reference for --bfile
+    ref = tmp_path / "ref.txt"
+    ref.write_text(run_cli("oeis", "--id", "A068555", "--n", "4").stdout)
+    res = run_cli("oeis", "--id", "A068555", "--n", "4", "--bfile", str(ref))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "recpascal: cannot read b-file: line 19: index 0 does not follow 15\n"
 
 
 @pytest.mark.parametrize("oeis_id", GENERATED_IDS)

@@ -38,7 +38,12 @@ from recpascal import (
 from recpascal import identities, matrices
 from recpascal.identities import _first_mismatch
 
-from oracles import det_bareiss, det_cofactor, super_catalan_factorial
+from oracles import (
+    det_bareiss,
+    det_cofactor,
+    r_inverse_by_congruence,
+    super_catalan_factorial,
+)
 
 
 def test_check_report_passed_means_no_counterexample():
@@ -277,6 +282,91 @@ def test_r_inverse_matches_oracle_and_is_integer():
         assert matmul(r, rinv) == identity(n)
 
 
+def test_r_inverse_equals_the_congruence_sandwich_up_to_48():
+    for n in range(1, 49):
+        assert r_inverse_via_factorization(n).tolist() == r_inverse_by_congruence(n), n
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(49, 96))
+def test_r_inverse_equals_the_congruence_sandwich_sampled(n):
+    assert r_inverse_via_factorization(n).tolist() == r_inverse_by_congruence(n)
+
+
+def test_r_inverse_forms_no_square_product(monkeypatch):
+    # the factors act on two vectors: every product the route forms is n x 2
+    shapes = []
+
+    def recording(a, b):
+        product = matmul(a, b)
+        shapes.append(product.shape)
+        return product
+
+    monkeypatch.setattr(identities, "matmul", recording)
+    r_inverse_via_factorization(9)
+    assert shapes == [(9, 2)] * 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 128))
+def test_r_inverse_satisfies_the_hankel_displacement_identity(n):
+    # (j+1) Y[i][j+1] - (i+1) Y[i+1][j] = v_i c_j - c_i v_j with Y[n][.] = 0,
+    # c and v = Y (0, 1, ..., n-1) read off the returned Y itself
+    y = r_inverse_via_factorization(n).tolist() + [[0] * n]
+    c = [row[0] for row in y]
+    v = [sum(k * x for k, x in enumerate(row)) for row in y]
+    for i in range(n):
+        for j in range(n - 1):
+            assert ((j + 1) * y[i][j + 1] - (i + 1) * y[i + 1][j]
+                    == v[i] * c[j] - c[i] * v[j]), (i, j)
+
+
+def _plant_in_v(n, m, delta):
+    """identities._r_inverse_columns for size n with delta added to v[m]."""
+    c, v = identities._r_inverse_columns(n)
+    planted = v[:m] + (v[m] + delta,) + v[m + 1:]
+    return lambda size: (c, planted)
+
+
+@pytest.mark.parametrize("n,m,delta,entry", [
+    (12, 5, 1, (2, 4, -3636032405, 2)),
+    (8, 4, 1, (7, 5, -166489752, 5)),
+    (6, 3, -1, (2, 2, -76857, 2)),
+])
+def test_a_planted_error_in_v_raises_at_the_entry_it_names(monkeypatch, n, m, delta, entry):
+    # the last row is filled first, so (8, 4) fails there, dividing by 5
+    i, j, a, b = entry
+    monkeypatch.setattr(identities, "_r_inverse_columns", _plant_in_v(n, m, delta))
+    with pytest.raises(ExactnessError,
+                       match=f"^entry \\({i}, {j}\\) of R\\^-1: {a} is not divisible by {b}$"):
+        r_inverse_via_factorization(n)
+    assert check_integrality(n).counterexample == (i, j, "an integer entry", Fraction(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_planted_error_in_v_never_passes_the_check(data):
+    # most errors in v leave a remainder in the fill, at the entry named;
+    # v_0 only ever meets divisions by 1, and a few others divide out
+    # exactly, so there R . R^-1 = I is what fails; at n = 1 the fill
+    # reads no v, so the planted error cannot change R^-1
+    n = data.draw(st.integers(2, 48), label="n")
+    m = data.draw(st.integers(0, n - 1), label="m")
+    delta = data.draw(st.sampled_from((-1, 1)), label="delta")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "_r_inverse_columns", _plant_in_v(n, m, delta))
+        try:
+            r_inverse_via_factorization(n)
+            named = None
+        except identities._InexactEntry as exc:
+            named = exc.entry
+        rep = check_integrality(n)
+    assert not rep.passed
+    if named is not None:
+        i, j, a, b = named
+        assert rep.counterexample == (i, j, "an integer entry", Fraction(a, b))
+
+
 def test_r_inverse_00_pinned():
     assert r_inverse_00(1) == 1
     assert r_inverse_00(2) == -1
@@ -334,7 +424,7 @@ def test_integrality_pinned_sizes():
 
 
 def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
-    # with D = (2) the doubled inverse is the odd 1: halving it must raise,
+    # with D = (2) the doubled column 2c is the odd 1: halving it must raise,
     # and the integrality check must report 1/2 rather than round it
     monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((2,) * n))
     with pytest.raises(ExactnessError):
@@ -364,8 +454,8 @@ def test_halving_names_the_first_odd_entry(data):
 def test_integrality_checks_the_identity_in_integers(monkeypatch):
     # the wrong inverse [[0, 1], [1, -1]] is all-integer, so only R . R^-1 = I
     # can catch it; row 1 of R is scaled by lcm 2
-    doubled = from_rows([[0, 2], [2, -2]])
-    monkeypatch.setattr(identities, "_doubled_r_inverse", lambda n: doubled)
+    planted = from_rows([[0, 1], [1, -1]])
+    monkeypatch.setattr(identities, "r_inverse_via_factorization", lambda n: planted)
     rep = check_integrality(2)
     assert not rep.passed
     assert rep.counterexample == (1, 0, 0, Fraction(1, 2))
@@ -379,10 +469,10 @@ def test_integrality_catches_a_one_entry_error(data):
     n = data.draw(st.integers(2, 12), label="n")
     i = data.draw(st.integers(0, n - 1), label="i")
     j = data.draw(st.integers(0, n - 1), label="j")
-    doubled = identities._doubled_r_inverse(n).tolist()
-    doubled[i][j] += 2
+    planted = r_inverse_via_factorization(n).tolist()
+    planted[i][j] += 1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(identities, "_doubled_r_inverse", lambda n: from_rows(doubled))
+        mp.setattr(identities, "r_inverse_via_factorization", lambda n: from_rows(planted))
         rep = check_integrality(n)
     assert not rep.passed
     assert rep.counterexample[:2] == (0, j)
