@@ -10,8 +10,11 @@ division: c = R^-1 e_0 and v = R^-1 k.  Because R is a Hankel matrix
 scaled by diag(i!) on both sides, every other entry follows from c and v
 by the displacement recurrence
 (j+1) R^-1[i][j+1] - (i+1) R^-1[i+1][j] = v_i c_j - c_i v_j,
-one checked division per entry.  Each division is the integrality claim
-for its entry: a remainder would raise instead of rounding.
+one checked division per entry, run upward from the zero row R^-1[n][.].
+Each division is the integrality claim for its entry: a remainder would
+raise instead of rounding.  A division cannot tell a wrong integer from a
+right one, so the route also checks that row i sums to [i == 0], as row 0
+of R is all ones.
 """
 from recpascal import (
     identity,

@@ -22,7 +22,6 @@ for n in (4, 8, 16, 24, 32):
     print(f"{n:>4}  {fact['seconds']:>14.4f}s  {gj['seconds']:>12.4f}s  "
           f"{fact['max_numerator_bits']:>12}  {gj['max_numerator_bits']:>10}")
 
-print("\nBit counts are the largest numerator in L^-1 and the result for the")
-print("factorization, and in the result for Gauss-Jordan.")
+print("\nBit counts are the largest numerator in each route's result.")
 print("Timings are informational, never asserted.")
 print("\nBenchmark demo passed.")

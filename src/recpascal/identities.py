@@ -8,10 +8,12 @@ The route applies G L^-T D' L^-1 G to two vectors, e_0 and k = (0, 1, ...,
 n-1), and halves the results with a checked division: c = R^-1 e_0 and
 v = R^-1 k.  R = F H F with F = diag(i!) and H[i][j] = 1/(i+j)! a Hankel
 matrix, and the inverse of a Hankel matrix has displacement rank 2, so
-every other entry of R^-1 follows from c and v by a recurrence, O(1)
-products and one checked division each: O(n^2) work in all, where the
-congruence L^-T D' L^-1 costs n^3/6 products.  Every division is checked,
-so the integrality claim is checked at every entry.
+every other entry of R^-1 follows from c and v by a recurrence run upward
+from a zero row, O(1) products and one checked division each: O(n^2) work
+in all, where the congruence L^-T D' L^-1 costs n^3/6 products.  Every
+division, the halving of c included, is checked, so the integrality claim
+is checked at every entry; a division cannot tell a wrong integer from a
+right one, so every row sum is checked against row 0 of R R^-1 = I too.
 
 The super Catalan array S has one route, matrices.super_catalan_matrix, and
 every check compares against it; the tests pin it to the factorial ratio.
@@ -20,8 +22,8 @@ index pair as one two-sided integer product of math.comb values.  Its folded
 one-sided form is entrywise L D L^T, which check_ldl compares.
 
 Checks never raise on a mathematical failure.  A check body returns its
-first counterexample, check_integrality's for an entry of R^-1 that the
-route could not divide out exactly too; _check times the body, builds the
+first counterexample, check_integrality's also for an entry or a row sum
+of R^-1 that the route found wrong; _check times the body, builds the
 CheckReport and makes an ExactnessError raised on the way, say by a faulty
 generator, the counterexample.  The
 production routes, r_inverse_via_factorization here and det_inverse_sequence
@@ -164,28 +166,27 @@ def check_l_inverse_column(n: int) -> CheckReport:
                                from_rows([row[0]] for row in linv)))
 
 
-class _InexactEntry(ExactnessError):
-    """A checked division of the inverse route left a remainder: entry
-    (i, j) of R^-1 came out as a / b, which is no integer."""
+class _WrongEntry(ExactnessError):
+    """The inverse route caught an entry of R^-1 that is wrong: a checked
+    division left a remainder, or a row failed to sum to [i == 0].
+    counterexample is what check_integrality reports for it."""
 
-    def __init__(self, message: str, i: int, j: int, a: int, b: int):
+    def __init__(self, message: str, counterexample: tuple):
         super().__init__(message)
-        self.entry = (i, j, a, b)
+        self.counterexample = counterexample
 
 
-def _first_odd(m: Matrix):
-    """(i, j, x) for the first odd entry x of m in row-major order, or None."""
-    return next(((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x & 1),
-                None)
+def _divide_entries(i: int, j0: int, nums, dens) -> list:
+    """nums[k] / dens[k], each checked, as entries (i, j0 + k) of R^-1; the
+    first remainder raises _WrongEntry naming its entry."""
+    try:
+        return list(map(exact_div, nums, dens))
+    except ExactnessError as exc:
+        from fractions import Fraction
 
-
-def _halve(m: Matrix) -> Matrix:
-    """Entrywise checked halving: the first odd entry, in row-major order,
-    raises through exact_div rather than rounds; then every entry is even
-    and a shift halves it."""
-    if (odd := _first_odd(m)) is not None:
-        exact_div(odd[2], 2)
-    return from_rows([x >> 1 for x in row] for row in m)
+        j, a, b = next((j, a, b) for j, (a, b) in enumerate(zip(nums, dens), j0) if a % b)
+        raise _WrongEntry(f"entry ({i}, {j}) of R^-1: {exc}",
+                          (i, j, "an integer entry", Fraction(a, b))) from None
 
 
 def _r_inverse_columns(n: int) -> tuple[tuple, tuple]:
@@ -193,33 +194,17 @@ def _r_inverse_columns(n: int) -> tuple[tuple, tuple]:
 
     2 R^-1 [e_0 | k] = G L^-T D' L^-1 G [e_0 | k], with D' = 2 D^-1
     integer, is formed right to left as n x 2 products, so each costs
-    O(n^2); G [e_0 | k] is written down directly.  In the checked halving
-    the first odd entry in row-major order raises: one of 2c, a column of
-    R^-1, as _InexactEntry at (i, 0), one of 2v as exact_div's error.
+    O(n^2); G [e_0 | k] is written down directly.  Both columns are halved
+    with a check: R^-1 is symmetric, so c is also row 0, and its first odd
+    entry raises _WrongEntry naming (0, j); an odd entry of 2v raises
+    exact_div's error.
     """
     linv = l_inverse_matrix(n)
     d2 = Diagonal(tuple(exact_div(2, d) for d in d_matrix(n).diag))
     g = g_matrix(n)
     gk = from_rows([int(m == 0), m * b] for m, b in enumerate(g.diag))
-    doubled = matmul(g, matmul(linv.T, matmul(d2, matmul(linv, gk))))
-    try:
-        c, v = zip(*_halve(doubled))
-    except ExactnessError as exc:
-        i, j, x = _first_odd(doubled)
-        if j:
-            raise
-        raise _InexactEntry(str(exc), i, 0, x, 2) from None
-    return c, v
-
-
-def _divide_entries(i: int, j0: int, nums: list, dens) -> list:
-    """nums[k] / dens[k], each checked, as entries (i, j0 + k) of R^-1; the
-    first remainder raises _InexactEntry naming its entry."""
-    try:
-        return list(map(exact_div, nums, dens))
-    except ExactnessError as exc:
-        j, a, b = next((j, a, b) for j, (a, b) in enumerate(zip(nums, dens), j0) if a % b)
-        raise _InexactEntry(f"entry ({i}, {j}) of R^-1: {exc}", i, j, a, b) from None
+    c2, v2 = zip(*matmul(g, matmul(linv.T, matmul(d2, matmul(linv, gk)))))
+    return tuple(_divide_entries(0, 0, c2, [2] * n)), tuple(exact_div(x, 2) for x in v2)
 
 
 def _fill(c: tuple, v: tuple) -> Matrix:
@@ -231,24 +216,28 @@ def _fill(c: tuple, v: tuple) -> Matrix:
 
         (j+1) Y[i][j+1] - (i+1) Y[i+1][j] = v_i c_j - c_i v_j,  Y[n][.] = 0.
 
-    At i = n - 1 that is the last row; top-down from row 0 = c, it gives
-    row i + 1 right of the diagonal, its last entry taken from the last
-    row by symmetry.  Every entry costs O(1) products and one checked
-    division; the lower triangle is the mirror of the upper.
+    Upward from that zero row, row i of the lower triangle is c_i followed
+    by ((i+1) Y[i+1][j] + v_i c_j - c_i v_j) / (j+1) for j < i: O(1)
+    products and one checked division per entry.  The upper triangle is
+    the mirror of the lower.  The divisions check that each entry is an
+    integer, not that it is right; row 0 of R is all ones, so row i of Y
+    must sum to [i == 0], and a row that does not raises _WrongEntry with
+    the entry (0, i) of R . Y that it makes wrong.
     """
     n = len(c)
-    cl, vl = c[-1], v[-1]
-    last = [cl] + _divide_entries(
-        n - 1, 1, [vl * cj - cl * vj for cj, vj in zip(c, v[:-1])], range(1, n))
-    upper = [list(c)]
-    for i in range(n - 2):
-        prev, ci, vi, k = upper[-1], c[i], v[i], i + 1
-        nums = [jj * y - (vi * cj - ci * vj)
-                for jj, y, cj, vj in zip(range(k + 1, n), prev[2:], c[k:], v[k:])]
-        upper.append(_divide_entries(k, k, nums, [k] * len(nums)) + [last[k]])
-    if n > 1:
-        upper.append(last[-1:])
-    return from_rows([upper[j][i - j] for j in range(i)] + upper[i] for i in range(n))
+    lower, below = [], [0] * n
+    for i in range(n - 1, -1, -1):
+        ci, vi, k = c[i], v[i], i + 1
+        nums = [k * y + vi * cj - ci * vj for y, cj, vj in zip(below, c[:i], v)]
+        below = [ci] + _divide_entries(i, 1, nums, range(1, k))
+        lower.append(below)
+    lower.reverse()
+    rows = [row + [lower[j][i] for j in range(i + 1, n)] for i, row in enumerate(lower)]
+    for i, row in enumerate(rows):
+        if (s := sum(row)) != (i == 0):
+            raise _WrongEntry(f"row {i} of R^-1 sums to {s}, not {int(i == 0)}",
+                              (0, i, int(i == 0), s))
+    return from_rows(rows)
 
 
 def r_inverse_via_factorization(n: int) -> Matrix:
@@ -256,10 +245,10 @@ def r_inverse_via_factorization(n: int) -> Matrix:
 
     Two columns of R^-1 come from the factors, G L^-T D' L^-1 G applied to
     two vectors and halved with a check; the Hankel displacement of R then
-    fills every other entry in O(n^2), each by one checked division.  A
-    remainder aborts rather than rounds: _InexactEntry names the entry.
-    The divisions check that each entry is an integer, not that it is the
-    right one; check_integrality multiplies back.
+    fills every other entry in O(n^2), each by one checked division, and
+    every row sum is checked against row 0 of R R^-1 = I.  A wrong entry
+    aborts rather than returns: _WrongEntry names it.  check_integrality
+    still multiplies back.
     """
     return _fill(*_r_inverse_columns(n))
 
@@ -316,17 +305,18 @@ def check_integrality(n: int) -> CheckReport:
     of R scaled by the lcm of its denominators, and compared with
     diag(lcm_i); only a mismatching entry is divided back by its row's lcm
     to report the entry of R . R^-1.  For a square R that makes the checked
-    matrix the unique inverse, so no second inversion is needed.  An entry
-    the route cannot divide out exactly, a / b, is reported where it was
-    being formed as (i, j, "an integer entry", a / b).
+    matrix the unique inverse, so no second inversion is needed.  What the
+    route itself finds wrong is reported as it names it: an entry it cannot
+    divide out exactly, a / b, as (i, j, "an integer entry", a / b); a row
+    i summing to s, not [i == 0], as the entry (0, i) of R . R^-1 that row
+    makes wrong, (0, i, [i == 0], s).
     """
     from fractions import Fraction
 
     try:
         rinv = r_inverse_via_factorization(n)
-    except _InexactEntry as exc:
-        i, j, a, b = exc.entry
-        return (i, j, "an integer entry", Fraction(a, b))
+    except _WrongEntry as exc:
+        return exc.counterexample
     scaled, lcms = _scaled_rows(reciprocal_pascal(n))
     product = matmul(from_rows(scaled), rinv)
     mismatch = _first_mismatch(

@@ -271,10 +271,12 @@ def test_a_zero_leading_minor_fails_check_and_det_without_traceback(monkeypatch)
 ], ids=lambda argv: argv[0])
 def test_a_route_exactness_error_exits_1_without_traceback(monkeypatch, tmp_path, argv):
     # with D = (2) the doubled inverse and the determinant step are the odd
-    # 1: the route's checked halving fails, a failed integrality claim
+    # 1: the route's checked halving fails, a failed integrality claim; the
+    # inverse route names the entry, c_0 = R^-1[0][0]
     monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((2,) * n))
     monkeypatch.setattr(sequences, "d_matrix", lambda n: Diagonal((2,) * n))
-    message = "recpascal: an exact division failed: 1 is not divisible by 2\n"
+    entry = "" if argv[0] == "oeis" else "entry (0, 0) of R^-1: "
+    message = f"recpascal: an exact division failed: {entry}1 is not divisible by 2\n"
     assert _main_in_process([*argv, "--n", "1"]) == (1, "", message)
     out = tmp_path / "out.txt"
     assert _main_in_process([*argv, "--n", "1", "--output", str(out)]) == (1, "", message)
@@ -295,6 +297,20 @@ def test_a_failed_fill_division_names_its_entry(monkeypatch):
     assert (code, err) == (1, "")
     assert json.loads(out)[0]["counterexample"] == {
         "i": 7, "j": 5, "expected": "an integer entry", "actual": "-166489752/5"}
+
+
+def test_a_wrong_v0_fails_a_row_sum_not_silently(monkeypatch):
+    # v_0 only ever meets divisions by 1, so one off in it fills an
+    # all-integer R^-1 that is wrong; row 1 then sums to -2, not 0, which
+    # invert reports in one line and the check as the entry (0, 1) of R . R^-1
+    c, v = identities._r_inverse_columns(8)
+    monkeypatch.setattr(identities, "_r_inverse_columns", lambda n: (c, (v[0] + 1,) + v[1:]))
+    assert _main_in_process(["invert", "--n", "8"]) == (
+        1, "", "recpascal: an exact division failed: row 1 of R^-1 sums to -2, not 0\n")
+    code, out, err = _main_in_process(["check", "--checks", "integrality", "--n", "8"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)[0]["counterexample"] == {
+        "i": 0, "j": 1, "expected": "0", "actual": "-2"}
 
 
 def test_oeis_emit_without_reference():

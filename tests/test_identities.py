@@ -329,12 +329,12 @@ def _plant_in_v(n, m, delta):
 
 
 @pytest.mark.parametrize("n,m,delta,entry", [
-    (12, 5, 1, (2, 4, -3636032405, 2)),
+    (12, 5, 1, (9, 6, 219509872873720, 6)),
     (8, 4, 1, (7, 5, -166489752, 5)),
-    (6, 3, -1, (2, 2, -76857, 2)),
+    (6, 3, -1, (4, 4, -970830, 4)),
 ])
 def test_a_planted_error_in_v_raises_at_the_entry_it_names(monkeypatch, n, m, delta, entry):
-    # the last row is filled first, so (8, 4) fails there, dividing by 5
+    # the fill goes upward from the last row, so (8, 4) fails there, dividing by 5
     i, j, a, b = entry
     monkeypatch.setattr(identities, "_r_inverse_columns", _plant_in_v(n, m, delta))
     with pytest.raises(ExactnessError,
@@ -346,25 +346,18 @@ def test_a_planted_error_in_v_raises_at_the_entry_it_names(monkeypatch, n, m, de
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_a_planted_error_in_v_never_passes_the_check(data):
-    # most errors in v leave a remainder in the fill, at the entry named;
-    # v_0 only ever meets divisions by 1, and a few others divide out
-    # exactly, so there R . R^-1 = I is what fails; at n = 1 the fill
-    # reads no v, so the planted error cannot change R^-1
+    # most errors in v leave a remainder in the fill; v_0 only ever meets
+    # divisions by 1, and a few others divide out exactly, so there a row
+    # sum of R^-1 is what fails, the entry (0, i) of R . R^-1; either way
+    # the route raises and the check reports the entry it named
     n = data.draw(st.integers(2, 48), label="n")
     m = data.draw(st.integers(0, n - 1), label="m")
     delta = data.draw(st.sampled_from((-1, 1)), label="delta")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(identities, "_r_inverse_columns", _plant_in_v(n, m, delta))
-        try:
+        with pytest.raises(identities._WrongEntry) as raised:
             r_inverse_via_factorization(n)
-            named = None
-        except identities._InexactEntry as exc:
-            named = exc.entry
-        rep = check_integrality(n)
-    assert not rep.passed
-    if named is not None:
-        i, j, a, b = named
-        assert rep.counterexample == (i, j, "an integer entry", Fraction(a, b))
+        assert check_integrality(n).counterexample == raised.value.counterexample
 
 
 def test_r_inverse_00_pinned():
@@ -434,21 +427,32 @@ def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
     assert rep.counterexample == (0, 0, "an integer entry", Fraction(1, 2))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_halving_names_the_first_odd_entry(data):
-    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-    evens = st.integers(-10**30, 10**30).map(lambda x: 2 * x)
-    m = data.draw(st.lists(st.lists(evens, min_size=cols, max_size=cols),
-                           min_size=rows, max_size=rows))
-    assert identities._halve(from_rows(m)).tolist() == [[x // 2 for x in row] for row in m]
-    # an odd entry at (i, j), and another after it in row-major order
-    i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
-    m[i][j] += 1
-    if (i, j) != (rows - 1, cols - 1):
-        m[-1][-1] += 1
-    with pytest.raises(ExactnessError, match=f"^{m[i][j]} is not divisible by 2$"):
-        identities._halve(from_rows(m))
+def test_an_odd_entry_of_the_doubled_c_names_its_entry(data):
+    # 1 added to entries of the doubled column 2c = 2 R^-1 e_0, the last of
+    # the route's four n x 2 products; R^-1 is symmetric, so c is row 0 and
+    # the first odd entry 2c_j + 1 is named as the entry (0, j)
+    n = data.draw(st.integers(1, 48), label="n")
+    odd = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="odd")
+    j = min(odd)
+    x = 2 * r_inverse_via_factorization(n)[0][j] + 1
+    calls = []
+
+    def planting(a, b):
+        product = matmul(a, b)
+        calls.append(None)
+        if len(calls) % 4:
+            return product
+        return from_rows([y + (k in odd), w] for k, (y, w) in enumerate(product))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "matmul", planting)
+        with pytest.raises(ExactnessError,
+                           match=f"^entry \\(0, {j}\\) of R\\^-1: {x} is not divisible by 2$"):
+            r_inverse_via_factorization(n)
+        rep = check_integrality(n)
+    assert rep.counterexample == (0, j, "an integer entry", Fraction(x, 2))
 
 
 def test_integrality_checks_the_identity_in_integers(monkeypatch):
