@@ -23,10 +23,11 @@ so that output is no reference for --bfile: reading it back is an input
 error, index 0 does not follow.
 
 Exit codes: 0 success / all checks passed, 1 a check failed, or outside
-check a route's checked exact division failed or det's oracle met a zero
-leading minor of R (one "recpascal:" line, no traceback), 2 usage or input
-error: an unreadable, malformed or non-overlapping reference b-file, output
-that cannot be written, or a size too large to hold in memory.  gen output
+check an exactness claim failed: a checked division, a row sum of R^-1
+or a nonzero leading minor of R (one "recpascal:" line, no traceback), 2
+usage or input error: an unreadable, malformed or non-overlapping reference
+b-file, output that cannot be written, or a size too large to hold in
+memory.  gen output
 is deterministic byte for byte.
 """
 from __future__ import annotations
@@ -301,15 +302,19 @@ def bench(n: int) -> dict:
 
 
 def _write_stdout(pieces) -> None:
-    """Write every piece to stdout.  When stdout is unbuffered (python -u,
-    PYTHONUNBUFFERED), its binary layer is a raw file: one write may take
-    only part of a piece, as when a pipe's reader closes it, and the text
-    layer drops the count.  There each piece's bytes are written until all
-    are taken, so a closed pipe raises OSError on the next write."""
+    """Write every piece to stdout and flush it; a closed stdout (None)
+    raises OSError like a failed write.  When stdout is unbuffered (python
+    -u, PYTHONUNBUFFERED), its binary layer is a raw file: one write may
+    take only part of a piece, as when a pipe's reader closes it, and the
+    text layer drops the count.  There each piece's bytes are written until
+    all are taken, so a closed pipe raises OSError on the next write."""
     out = sys.stdout
+    if out is None:
+        raise OSError("stdout is closed")
     raw = getattr(out, "buffer", None)
     if not isinstance(raw, io.RawIOBase):
         out.writelines(pieces)
+        out.flush()
         return
     out.flush()
     for piece in pieces:
@@ -373,12 +378,11 @@ def main(argv=None) -> None:
     # An --n up to sys.maxsize may still be too large to hold: an input error.
     try:
         code = run(args)
-        sys.stdout.flush()
     except OSError as exc:
         print(f"recpascal: cannot write output: {exc}", file=sys.stderr)
         code = 2
     except ExactnessError as exc:
-        print(f"recpascal: an exact division failed: {exc}", file=sys.stderr)
+        print(f"recpascal: an exactness claim failed: {exc}", file=sys.stderr)
         code = 1
     except MemoryError:
         print(f"recpascal: out of memory (--n {args.n})", file=sys.stderr)

@@ -22,13 +22,12 @@ index pair as one two-sided integer product of math.comb values.  Its folded
 one-sided form is entrywise L D L^T, which check_ldl compares.
 
 Checks never raise on a mathematical failure.  A check body returns its
-first counterexample, check_integrality's also for an entry or a row sum
-of R^-1 that the route found wrong; _check times the body, builds the
-CheckReport and makes an ExactnessError raised on the way, say by a faulty
-generator, the counterexample.  The
-production routes, r_inverse_via_factorization here and det_inverse_sequence
-in sequences, raise ExactnessError instead when a claimed integer is not one,
-and det_comparison when a leading minor of R is zero.
+first counterexample; _check times the body, builds the CheckReport and
+makes an ExactnessError raised on the way the counterexample it carries,
+say a wrong entry of R^-1, or else its message.  The production routes,
+r_inverse_via_factorization here and det_inverse_sequence in sequences,
+raise ExactnessError instead when a claimed integer is not one, and
+det_comparison when a leading minor of R is zero.
 """
 from __future__ import annotations
 
@@ -89,7 +88,8 @@ _CHECKS = {}
 def _check(name: str):
     """Decorator making the check `name`, listed in _CHECKS in the order
     defined (the report order), from a body returning the first counterexample
-    or None; an ExactnessError e becomes (0, 0, "an exact division", str(e))."""
+    or None; an ExactnessError e becomes its counterexample, if it carries
+    one, else (0, 0, "an exact division", str(e))."""
     def decorate(body):
         @wraps(body)
         def check(n: int) -> CheckReport:
@@ -97,7 +97,7 @@ def _check(name: str):
             try:
                 mismatch = body(n)
             except ExactnessError as exc:
-                mismatch = (0, 0, "an exact division", str(exc))
+                mismatch = exc.counterexample or (0, 0, "an exact division", str(exc))
             return CheckReport(name, n, mismatch, time.perf_counter() - start)
         _CHECKS[name] = check
         return check
@@ -166,27 +166,17 @@ def check_l_inverse_column(n: int) -> CheckReport:
                                from_rows([row[0]] for row in linv)))
 
 
-class _WrongEntry(ExactnessError):
-    """The inverse route caught an entry of R^-1 that is wrong: a checked
-    division left a remainder, or a row failed to sum to [i == 0].
-    counterexample is what check_integrality reports for it."""
-
-    def __init__(self, message: str, counterexample: tuple):
-        super().__init__(message)
-        self.counterexample = counterexample
-
-
 def _divide_entries(i: int, j0: int, nums, dens) -> list:
     """nums[k] / dens[k], each checked, as entries (i, j0 + k) of R^-1; the
-    first remainder raises _WrongEntry naming its entry."""
+    first remainder raises ExactnessError naming its entry and fraction."""
     try:
         return list(map(exact_div, nums, dens))
     except ExactnessError as exc:
         from fractions import Fraction
 
         j, a, b = next((j, a, b) for j, (a, b) in enumerate(zip(nums, dens), j0) if a % b)
-        raise _WrongEntry(f"entry ({i}, {j}) of R^-1: {exc}",
-                          (i, j, "an integer entry", Fraction(a, b))) from None
+        raise ExactnessError(f"entry ({i}, {j}) of R^-1: {exc}",
+                             (i, j, "an integer entry", Fraction(a, b))) from None
 
 
 def _r_inverse_columns(n: int) -> tuple[tuple, tuple]:
@@ -196,8 +186,8 @@ def _r_inverse_columns(n: int) -> tuple[tuple, tuple]:
     integer, is formed right to left as n x 2 products, so each costs
     O(n^2); G [e_0 | k] is written down directly.  Both columns are halved
     with a check: R^-1 is symmetric, so c is also row 0, and its first odd
-    entry raises _WrongEntry naming (0, j); an odd entry of 2v raises
-    exact_div's error.
+    entry raises ExactnessError naming (0, j); an odd entry of 2v raises
+    exact_div's error, which carries no counterexample.
     """
     linv = l_inverse_matrix(n)
     d2 = Diagonal(tuple(exact_div(2, d) for d in d_matrix(n).diag))
@@ -221,8 +211,8 @@ def _fill(c: tuple, v: tuple) -> Matrix:
     products and one checked division per entry.  The upper triangle is
     the mirror of the lower.  The divisions check that each entry is an
     integer, not that it is right; row 0 of R is all ones, so row i of Y
-    must sum to [i == 0], and a row that does not raises _WrongEntry with
-    the entry (0, i) of R . Y that it makes wrong.
+    must sum to [i == 0], and a row that does not raises ExactnessError
+    with the entry (0, i) of R . Y that it makes wrong as counterexample.
     """
     n = len(c)
     lower, below = [], [0] * n
@@ -235,8 +225,8 @@ def _fill(c: tuple, v: tuple) -> Matrix:
     rows = [row + [lower[j][i] for j in range(i + 1, n)] for i, row in enumerate(lower)]
     for i, row in enumerate(rows):
         if (s := sum(row)) != (i == 0):
-            raise _WrongEntry(f"row {i} of R^-1 sums to {s}, not {int(i == 0)}",
-                              (0, i, int(i == 0), s))
+            raise ExactnessError(f"row {i} of R^-1 sums to {s}, not {int(i == 0)}",
+                                 (0, i, int(i == 0), s))
     return from_rows(rows)
 
 
@@ -247,8 +237,8 @@ def r_inverse_via_factorization(n: int) -> Matrix:
     two vectors and halved with a check; the Hankel displacement of R then
     fills every other entry in O(n^2), each by one checked division, and
     every row sum is checked against row 0 of R R^-1 = I.  A wrong entry
-    aborts rather than returns: _WrongEntry names it.  check_integrality
-    still multiplies back.
+    aborts rather than returns: the ExactnessError names it and carries it
+    as the counterexample.  check_integrality still multiplies back.
     """
     return _fill(*_r_inverse_columns(n))
 
@@ -281,13 +271,15 @@ def det_comparison(n: int) -> dict:
     always agree, while the closed form's sign factor disagrees with the
     oracle for odd n.  Both values are kept exact so the discrepancy stays
     visible instead of being smoothed over.  A zero leading minor raises
-    ExactnessError: each leading block of R is a smaller R, claimed invertible.
+    ExactnessError, "a nonzero leading minor" failed: each leading block of
+    R is a smaller R, claimed invertible.
     """
     formula = det_r_inverse_formula(n)
     try:
         oracle = 1 / leading_minors(reciprocal_pascal(n))[-1]
     except ValueError as exc:
-        raise ExactnessError(f"1 / det(R_{n}): {exc}") from None
+        msg = f"1 / det(R_{n}): {exc}"
+        raise ExactnessError(msg, (0, 0, "a nonzero leading minor", msg)) from None
     return {
         "formula": formula,
         "oracle": oracle,
@@ -306,17 +298,14 @@ def check_integrality(n: int) -> CheckReport:
     diag(lcm_i); only a mismatching entry is divided back by its row's lcm
     to report the entry of R . R^-1.  For a square R that makes the checked
     matrix the unique inverse, so no second inversion is needed.  What the
-    route itself finds wrong is reported as it names it: an entry it cannot
-    divide out exactly, a / b, as (i, j, "an integer entry", a / b); a row
-    i summing to s, not [i == 0], as the entry (0, i) of R . R^-1 that row
-    makes wrong, (0, i, [i == 0], s).
+    route itself finds wrong is reported, by _check, as its ExactnessError
+    names it: an entry it cannot divide out exactly, a / b, as
+    (i, j, "an integer entry", a / b); a row i summing to s, not [i == 0],
+    as the entry (0, i) of R . R^-1 that row makes wrong, (0, i, [i == 0], s).
     """
     from fractions import Fraction
 
-    try:
-        rinv = r_inverse_via_factorization(n)
-    except _WrongEntry as exc:
-        return exc.counterexample
+    rinv = r_inverse_via_factorization(n)
     scaled, lcms = _scaled_rows(reciprocal_pascal(n))
     product = matmul(from_rows(scaled), rinv)
     mismatch = _first_mismatch(

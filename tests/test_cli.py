@@ -149,6 +149,17 @@ def test_gen_diagonal_matrices_render_dense():
     assert res.stdout == "1,0,0\n0,-2,0\n0,0,2\n"
 
 
+def test_gen_d_bfile_is_its_diagonal():
+    # D has no catalogued reading, so its b-file is its own diagonal
+    res = run_cli("gen", "--matrix", "D", "--n", "4", "--format", "bfile")
+    assert (res.returncode, res.stdout, res.stderr) == (0, "0 1\n1 -2\n2 2\n3 -2\n", "")
+    for n in range(1, 65):
+        code, out, err = _main_in_process(["gen", "--matrix", "D", "--n", str(n),
+                                           "--format", "bfile"])
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{k} {d}\n" for k, d in enumerate(matrices.d_matrix(n).diag))
+
+
 def test_gen_default_size_is_8():
     res = run_cli("gen", "--matrix", "pascal", "--format", "csv")
     assert res.returncode == 0
@@ -259,11 +270,11 @@ def test_a_zero_leading_minor_fails_check_and_det_without_traceback(monkeypatch)
     reports = {rep["name"]: rep for rep in json.loads(out)}
     assert {name for name, rep in reports.items() if not rep["passed"]} == {
         "grg", "integrality", "det"}
-    assert reports["det"]["counterexample"] == {"i": 0, "j": 0, "expected": "an exact division",
-                                                "actual": message}
+    assert reports["det"]["counterexample"] == {
+        "i": 0, "j": 0, "expected": "a nonzero leading minor", "actual": message}
     for fmt in ("pretty", "json"):
         assert _main_in_process(["det", "--n", "4", "--format", fmt]) == (
-            1, "", f"recpascal: an exact division failed: {message}\n")
+            1, "", f"recpascal: an exactness claim failed: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -276,7 +287,7 @@ def test_a_route_exactness_error_exits_1_without_traceback(monkeypatch, tmp_path
     monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((2,) * n))
     monkeypatch.setattr(sequences, "d_matrix", lambda n: Diagonal((2,) * n))
     entry = "" if argv[0] == "oeis" else "entry (0, 0) of R^-1: "
-    message = f"recpascal: an exact division failed: {entry}1 is not divisible by 2\n"
+    message = f"recpascal: an exactness claim failed: {entry}1 is not divisible by 2\n"
     assert _main_in_process([*argv, "--n", "1"]) == (1, "", message)
     out = tmp_path / "out.txt"
     assert _main_in_process([*argv, "--n", "1", "--output", str(out)]) == (1, "", message)
@@ -291,7 +302,7 @@ def test_a_failed_fill_division_names_its_entry(monkeypatch):
     planted = v[:4] + (v[4] + 1,) + v[5:]
     monkeypatch.setattr(identities, "_r_inverse_columns", lambda n: (c, planted))
     assert _main_in_process(["invert", "--n", "8"]) == (
-        1, "", "recpascal: an exact division failed: "
+        1, "", "recpascal: an exactness claim failed: "
                "entry (7, 5) of R^-1: -166489752 is not divisible by 5\n")
     code, out, err = _main_in_process(["check", "--checks", "integrality", "--n", "8"])
     assert (code, err) == (1, "")
@@ -306,7 +317,7 @@ def test_a_wrong_v0_fails_a_row_sum_not_silently(monkeypatch):
     c, v = identities._r_inverse_columns(8)
     monkeypatch.setattr(identities, "_r_inverse_columns", lambda n: (c, (v[0] + 1,) + v[1:]))
     assert _main_in_process(["invert", "--n", "8"]) == (
-        1, "", "recpascal: an exact division failed: row 1 of R^-1 sums to -2, not 0\n")
+        1, "", "recpascal: an exactness claim failed: row 1 of R^-1 sums to -2, not 0\n")
     code, out, err = _main_in_process(["check", "--checks", "integrality", "--n", "8"])
     assert (code, err) == (1, "")
     assert json.loads(out)[0]["counterexample"] == {
@@ -665,6 +676,22 @@ def test_output_to_a_full_device_exits_2(argv):
     assert res.returncode == 2
     assert res.stderr.startswith("recpascal: cannot write")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output-file"])
+def test_a_closed_stdout_is_an_output_error_not_a_crash(tmp_path, output):
+    # with fd 1 closed at start Python's sys.stdout is None: writing to it
+    # exits 2, and an --output run never touches it
+    path = tmp_path / "m.csv"
+    argv = ["gen", "--n", "2", "--format", "csv"] + (["--output", str(path)] if output else [])
+    res = subprocess.run([sys.executable, "-m", "recpascal", *argv], stdout=None,
+                         stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    if output:
+        assert (res.returncode, res.stderr) == (0, "")
+        assert path.read_text() == "1,1\n1,1/2\n"
+    else:
+        assert (res.returncode, res.stderr) == (
+            2, "recpascal: cannot write output: stdout is closed\n")
 
 
 #: The --format choices each command renders; any other format is a usage

@@ -321,11 +321,13 @@ def test_r_inverse_satisfies_the_hankel_displacement_identity(n):
                     == v[i] * c[j] - c[i] * v[j]), (i, j)
 
 
-def _plant_in_v(n, m, delta):
-    """identities._r_inverse_columns for size n with delta added to v[m]."""
-    c, v = identities._r_inverse_columns(n)
-    planted = v[:m] + (v[m] + delta,) + v[m + 1:]
-    return lambda size: (c, planted)
+def _plant(n, column, m, delta):
+    """identities._r_inverse_columns for size n with delta added to entry m
+    of its column "c" or "v"."""
+    columns = dict(zip("cv", identities._r_inverse_columns(n)))
+    x = columns[column]
+    columns[column] = x[:m] + (x[m] + delta,) + x[m + 1:]
+    return lambda size: (columns["c"], columns["v"])
 
 
 @pytest.mark.parametrize("n,m,delta,entry", [
@@ -336,7 +338,7 @@ def _plant_in_v(n, m, delta):
 def test_a_planted_error_in_v_raises_at_the_entry_it_names(monkeypatch, n, m, delta, entry):
     # the fill goes upward from the last row, so (8, 4) fails there, dividing by 5
     i, j, a, b = entry
-    monkeypatch.setattr(identities, "_r_inverse_columns", _plant_in_v(n, m, delta))
+    monkeypatch.setattr(identities, "_r_inverse_columns", _plant(n, "v", m, delta))
     with pytest.raises(ExactnessError,
                        match=f"^entry \\({i}, {j}\\) of R\\^-1: {a} is not divisible by {b}$"):
         r_inverse_via_factorization(n)
@@ -346,17 +348,20 @@ def test_a_planted_error_in_v_raises_at_the_entry_it_names(monkeypatch, n, m, de
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_a_planted_error_in_v_never_passes_the_check(data):
-    # most errors in v leave a remainder in the fill; v_0 only ever meets
-    # divisions by 1, and a few others divide out exactly, so there a row
-    # sum of R^-1 is what fails, the entry (0, i) of R . R^-1; either way
-    # the route raises and the check reports the entry it named
+    # most errors in v, or in c, leave a remainder in the fill; v_0 only
+    # ever meets divisions by 1, and a few others divide out exactly, so
+    # there a row sum of R^-1 is what fails, the entry (0, i) of R . R^-1;
+    # either way the route's ExactnessError carries the counterexample and
+    # the check reports it
     n = data.draw(st.integers(2, 48), label="n")
+    column = data.draw(st.sampled_from("cv"), label="column")
     m = data.draw(st.integers(0, n - 1), label="m")
     delta = data.draw(st.sampled_from((-1, 1)), label="delta")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(identities, "_r_inverse_columns", _plant_in_v(n, m, delta))
-        with pytest.raises(identities._WrongEntry) as raised:
+        mp.setattr(identities, "_r_inverse_columns", _plant(n, column, m, delta))
+        with pytest.raises(ExactnessError) as raised:
             r_inverse_via_factorization(n)
+        assert raised.value.counterexample is not None
         assert check_integrality(n).counterexample == raised.value.counterexample
 
 
