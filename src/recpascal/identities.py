@@ -11,9 +11,10 @@ matrix, and the inverse of a Hankel matrix has displacement rank 2, so
 every other entry of R^-1 follows from c and v by a recurrence run upward
 from a zero row, O(1) products and one checked division each: O(n^2) work
 in all, where the congruence L^-T D' L^-1 costs n^3/6 products.  Every
-division, the halving of c included, is checked, so the integrality claim
-is checked at every entry; a division cannot tell a wrong integer from a
-right one, so every row sum is checked against row 0 of R R^-1 = I too.
+division, the halvings of c and v included, is checked, so the
+integrality claim is checked at every entry; a division cannot tell a
+wrong integer from a right one, so every row sum is checked against row 0
+of R R^-1 = I too.
 
 The super Catalan array S has one route, matrices.super_catalan_matrix, and
 every check compares against it; the tests pin it to the factorial ratio.
@@ -166,17 +167,20 @@ def check_l_inverse_column(n: int) -> CheckReport:
                                from_rows([row[0]] for row in linv)))
 
 
-def _divide_entries(i: int, j0: int, nums, dens) -> list:
-    """nums[k] / dens[k], each checked, as entries (i, j0 + k) of R^-1; the
-    first remainder raises ExactnessError naming its entry and fraction."""
+def _divide_entries(of: str, cells, nums, dens) -> list:
+    """nums[k] / dens[k], each checked, as the entries cells[k] = (i, j) of
+    the matrix `of`; the first remainder a / b raises ExactnessError naming
+    its entry, with counterexample (i, j, "an integer entry", a / b), the
+    claim read "an integer entry of `of`" where `of` is not R^-1 itself."""
     try:
         return list(map(exact_div, nums, dens))
     except ExactnessError as exc:
         from fractions import Fraction
 
-        j, a, b = next((j, a, b) for j, (a, b) in enumerate(zip(nums, dens), j0) if a % b)
-        raise ExactnessError(f"entry ({i}, {j}) of R^-1: {exc}",
-                             (i, j, "an integer entry", Fraction(a, b))) from None
+        (i, j), a, b = next(t for t in zip(cells, nums, dens) if t[1] % t[2])
+        claim = "an integer entry" if of == "R^-1" else f"an integer entry of {of}"
+        raise ExactnessError(f"entry ({i}, {j}) of {of}: {exc}",
+                             (i, j, claim, Fraction(a, b))) from None
 
 
 def _r_inverse_columns(n: int) -> tuple[tuple, tuple]:
@@ -185,16 +189,17 @@ def _r_inverse_columns(n: int) -> tuple[tuple, tuple]:
     2 R^-1 [e_0 | k] = G L^-T D' L^-1 G [e_0 | k], with D' = 2 D^-1
     integer, is formed right to left as n x 2 products, so each costs
     O(n^2); G [e_0 | k] is written down directly.  Both columns are halved
-    with a check: R^-1 is symmetric, so c is also row 0, and its first odd
-    entry raises ExactnessError naming (0, j); an odd entry of 2v raises
-    exact_div's error, which carries no counterexample.
+    with a check, and the first odd entry raises ExactnessError naming it:
+    R^-1 is symmetric, so c is also row 0 and its entry j is (0, j) of
+    R^-1, while entry m of v is (m, 0) of the column R^-1 k.
     """
     linv = l_inverse_matrix(n)
     d2 = Diagonal(tuple(exact_div(2, d) for d in d_matrix(n).diag))
     g = g_matrix(n)
     gk = from_rows([int(m == 0), m * b] for m, b in enumerate(g.diag))
     c2, v2 = zip(*matmul(g, matmul(linv.T, matmul(d2, matmul(linv, gk)))))
-    return tuple(_divide_entries(0, 0, c2, [2] * n)), tuple(exact_div(x, 2) for x in v2)
+    return (tuple(_divide_entries("R^-1", ((0, j) for j in range(n)), c2, [2] * n)),
+            tuple(_divide_entries("R^-1 k", ((m, 0) for m in range(n)), v2, [2] * n)))
 
 
 def _fill(c: tuple, v: tuple) -> Matrix:
@@ -219,7 +224,7 @@ def _fill(c: tuple, v: tuple) -> Matrix:
     for i in range(n - 1, -1, -1):
         ci, vi, k = c[i], v[i], i + 1
         nums = [k * y + vi * cj - ci * vj for y, cj, vj in zip(below, c[:i], v)]
-        below = [ci] + _divide_entries(i, 1, nums, range(1, k))
+        below = [ci] + _divide_entries("R^-1", ((i, j) for j in range(1, k)), nums, range(1, k))
         lower.append(below)
     lower.reverse()
     rows = [row + [lower[j][i] for j in range(i + 1, n)] for i, row in enumerate(lower)]
@@ -300,7 +305,8 @@ def check_integrality(n: int) -> CheckReport:
     matrix the unique inverse, so no second inversion is needed.  What the
     route itself finds wrong is reported, by _check, as its ExactnessError
     names it: an entry it cannot divide out exactly, a / b, as
-    (i, j, "an integer entry", a / b); a row i summing to s, not [i == 0],
+    (i, j, "an integer entry", a / b), or as (m, 0, "an integer entry of
+    R^-1 k", a / b) for an entry of v; a row i summing to s, not [i == 0],
     as the entry (0, i) of R . R^-1 that row makes wrong, (0, i, [i == 0], s).
     """
     from fractions import Fraction

@@ -1,7 +1,10 @@
 """End-to-end CLI tests, through a real subprocess unless noted."""
+import gc
+import importlib
 import io
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -308,6 +311,29 @@ def test_a_failed_fill_division_names_its_entry(monkeypatch):
     assert (code, err) == (1, "")
     assert json.loads(out)[0]["counterexample"] == {
         "i": 7, "j": 5, "expected": "an integer entry", "actual": "-166489752/5"}
+
+
+def test_an_odd_entry_of_the_doubled_v_names_its_entry(monkeypatch):
+    # 1 added to entry 3 of the second column of the last n x 2 product,
+    # 2 R^-1 [e_0 | k]: halving v = R^-1 k fails there, and invert and the
+    # integrality check name that entry of R^-1 k, not a bare division
+    calls = []
+
+    def planting(a, b):
+        product = matrices.matmul(a, b)
+        calls.append(None)
+        if len(calls) % 4:
+            return product
+        return matrices.from_rows([y, w + (m == 3)] for m, (y, w) in enumerate(product))
+
+    monkeypatch.setattr(identities, "matmul", planting)
+    assert _main_in_process(["invert", "--n", "8"]) == (
+        1, "", "recpascal: an exactness claim failed: "
+               "entry (3, 0) of R^-1 k: -117599 is not divisible by 2\n")
+    code, out, err = _main_in_process(["check", "--checks", "integrality", "--n", "8"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)[0]["counterexample"] == {
+        "i": 3, "j": 0, "expected": "an integer entry of R^-1 k", "actual": "-117599/2"}
 
 
 def test_a_wrong_v0_fails_a_row_sum_not_silently(monkeypatch):
@@ -899,6 +925,52 @@ def test_readme_cli_examples_run_in_process(tmp_path, monkeypatch):
         code, out, err = _main_in_process(shlex.split(line, comments=True)[1:])
         assert code in (0, 1), (line, err)
         assert out
+
+
+def test_main_in_process_leaves_the_collector_alone():
+    # only the process entry freezes live objects on the way out; a caller
+    # of cli.main keeps its collector and the cycles it makes collectable
+    before = gc.get_freeze_count(), gc.isenabled()
+    code, out, _ = _main_in_process(["invert", "--n", "8"])
+    assert code == 0 and out
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_the_module_entry_freezes_what_is_alive_at_exit():
+    # what `python -m recpascal` runs: the exit-time collections then skip
+    # every live object, and the output and exit code are main's
+    code = ("import gc, runpy, sys\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "sys.argv = ['recpascal', 'gen', '--matrix', 'pascal', '--n', '2', '--format', 'csv']\n"
+            "try:\n"
+            "    runpy.run_module('recpascal', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(_SRC)})
+    assert (res.returncode, res.stdout, res.stderr) == (0, "1,1\n1,2\n", "0 True\n")
+
+
+def test_the_console_script_runs_the_module_entry(monkeypatch):
+    # the [project.scripts] target is the function `python -m recpascal`
+    # calls: the caller of main under runpy is that function's code
+    tomllib = pytest.importorskip("tomllib")
+    with open(_SRC.parent / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["recpascal"]
+    callers, frozen = [], []
+
+    def stub_main():
+        callers.append(sys._getframe(1).f_code)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(cli, "main", stub_main)
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(None))
+    with pytest.raises(SystemExit):
+        runpy.run_module("recpascal", run_name="__main__")
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name).__code__
+    assert [(c, c.co_filename) for c in callers] == [(entry, entry.co_filename)]
+    assert frozen == [None]
 
 
 def test_console_script_entry_point():

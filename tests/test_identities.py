@@ -1,5 +1,6 @@
 """Factorization identities, the integer inverse, and determinant reports."""
 import json
+import re
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -434,14 +435,18 @@ def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_an_odd_entry_of_the_doubled_c_names_its_entry(data):
-    # 1 added to entries of the doubled column 2c = 2 R^-1 e_0, the last of
-    # the route's four n x 2 products; R^-1 is symmetric, so c is row 0 and
-    # the first odd entry 2c_j + 1 is named as the entry (0, j)
+def test_an_odd_entry_of_a_doubled_column_names_its_entry(data):
+    # 1 added to entries of one column of the last of the route's four n x 2
+    # products, 2 R^-1 [e_0 | k]; R^-1 is symmetric, so c is row 0 and an
+    # odd 2c_j + 1 is named as the entry (0, j) of R^-1, while an odd
+    # 2v_m + 1 is the entry (m, 0) of the column R^-1 k
     n = data.draw(st.integers(1, 48), label="n")
+    column = data.draw(st.sampled_from((0, 1)), label="column")
     odd = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="odd")
-    j = min(odd)
-    x = 2 * r_inverse_via_factorization(n)[0][j] + 1
+    m = min(odd)
+    x = 2 * identities._r_inverse_columns(n)[column][m] + 1
+    (i, j), of, claim = (((0, m), "R^-1", "an integer entry") if column == 0 else
+                         ((m, 0), "R^-1 k", "an integer entry of R^-1 k"))
     calls = []
 
     def planting(a, b):
@@ -449,15 +454,16 @@ def test_an_odd_entry_of_the_doubled_c_names_its_entry(data):
         calls.append(None)
         if len(calls) % 4:
             return product
-        return from_rows([y + (k in odd), w] for k, (y, w) in enumerate(product))
+        return from_rows([y + (k in odd) * (col == column) for col, y in enumerate(row)]
+                         for k, row in enumerate(product))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(identities, "matmul", planting)
-        with pytest.raises(ExactnessError,
-                           match=f"^entry \\(0, {j}\\) of R\\^-1: {x} is not divisible by 2$"):
+        message = f"entry ({i}, {j}) of {of}: {x} is not divisible by 2"
+        with pytest.raises(ExactnessError, match=f"^{re.escape(message)}$"):
             r_inverse_via_factorization(n)
         rep = check_integrality(n)
-    assert rep.counterexample == (0, j, "an integer entry", Fraction(x, 2))
+    assert rep.counterexample == (i, j, claim, Fraction(x, 2))
 
 
 def test_integrality_checks_the_identity_in_integers(monkeypatch):
