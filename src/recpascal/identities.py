@@ -314,8 +314,7 @@ def check_integrality(n: int) -> CheckReport:
     rinv = r_inverse_via_factorization(n)
     scaled, lcms = _scaled_rows(reciprocal_pascal(n))
     product = matmul(from_rows(scaled), rinv)
-    mismatch = _first_mismatch(
-        from_rows([f * (i == j) for j in range(n)] for i, f in enumerate(lcms)), product)
+    mismatch = _first_mismatch(Diagonal(lcms).to_dense(), product)
     if mismatch is not None:
         i, j, _, x = mismatch
         return (i, j, int(i == j), Fraction(x, lcms[i]))

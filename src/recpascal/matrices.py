@@ -80,11 +80,12 @@ def from_rows(rows) -> Matrix:
 def identity(n: int) -> Matrix:
     """Integer identity matrix."""
     _require_size(n)
-    return from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    return Diagonal((1,) * n).to_dense()
 
 
 class Diagonal(namedtuple("Diagonal", "diag")):
-    """Square diagonal matrix stored as its diagonal."""
+    """Square diagonal matrix stored as its diagonal; to_dense() is the
+    package's one builder of a dense diagonal matrix."""
 
     __slots__ = ()
 
@@ -94,12 +95,8 @@ class Diagonal(namedtuple("Diagonal", "diag")):
             raise ValueError("empty diagonal")
         return super().__new__(cls, diag)
 
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
     def to_dense(self) -> Matrix:
-        n = self.n
+        n = len(self.diag)
         return from_rows(
             [[self.diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
@@ -215,26 +212,25 @@ def matmul(a, b):
 
     A dense entry sums a[i][k] b[k][j] only over the overlap of the nonzero
     spans of row i of a and column j of b, since every other term is a known
-    zero; an empty overlap gives the int 0, and a row nonzero at both ends
-    takes the plain sum with every column, so a dense product pays nothing
-    per entry for the spans.  When a = b^T D for a diagonal D, as in the
+    zero; an empty overlap gives the int 0.  A full row's span slice is the
+    row tuple itself, not a copy, so a dense product pays nothing per entry
+    for the spans.  When a = b^T D for a diagonal D, as in the
     congruence L D L^T, the product is symmetric: only the entries with
     i <= j are formed and the rest mirrored.  Entries equal the full sums
     by value.
     """
     if isinstance(a, Diagonal):
-        if a.n != b.shape[0]:
-            raise ValueError(f"dimension mismatch: {a.n} vs {b.shape}")
+        if len(a.diag) != b.shape[0]:
+            raise ValueError(f"dimension mismatch: {len(a.diag)} vs {b.shape}")
         return from_rows([d * x for x in row] for d, row in zip(a.diag, b))
     if isinstance(b, Diagonal):
-        if a.shape[1] != b.n:
-            raise ValueError(f"dimension mismatch: {a.shape} vs {b.n}")
+        if a.shape[1] != len(b.diag):
+            raise ValueError(f"dimension mismatch: {a.shape} vs {len(b.diag)}")
         return from_rows(map(mul, row, b.diag) for row in a)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    cols = tuple(zip(*b))
     trimmed = []
-    for col in cols:
+    for col in zip(*b):
         lo, hi = _span(col)
         trimmed.append((lo, col[lo:hi]))
 
@@ -243,8 +239,6 @@ def matmul(a, b):
         each column's are aligned at the later start, and map stops at the
         earlier end."""
         rlo, rhi = _span(row)
-        if rhi - rlo == len(row):
-            return [sum(map(mul, row, col)) for col in cols[j0:]]
         part = row[rlo:rhi]
         return [sum(map(mul, part[clo - rlo:], col)) if rlo <= clo
                 else sum(map(mul, part, col[rlo - clo:]))

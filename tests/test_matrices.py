@@ -176,6 +176,11 @@ def test_matmul_pinned():
     m = pascal_matrix(4)
     assert matmul(identity(4), m) == m
     assert matmul(m, identity(4)) == m
+    # a full row against columns with leading zeros: the row's span slice is
+    # cut at each column's first nonzero entry
+    for a, b in ((reciprocal_pascal(6), l_matrix(6)),
+                 (pascal_matrix(6), l_inverse_matrix(6))):
+        assert matmul(a, b).tolist() == matmul_triple_sum(a, b)
 
 
 def test_matmul_matches_dense_diagonal_product():
