@@ -12,6 +12,7 @@ from recpascal import (
     check_ldl,
     check_von_szily_upto,
     d_matrix,
+    from_rows,
     g_matrix,
     l_matrix,
     matmul,
@@ -44,9 +45,9 @@ print("(2m)!(2n)! / (m! n! (m+n)!) does not make that obvious.")
 banner("Factorization 1: diagonal scalings of the reciprocal Pascal matrix")
 g = g_matrix(N)
 r = reciprocal_pascal(N)
-print("\nG = diag of central binomials:", g.diag)
+print("\nG = diag of central binomials:", g)
 show(r, "R (entrywise reciprocals of C(i+j, i))")
-product = matmul(matmul(g, r), g)
+product = [[g[i] * x * g[j] for j, x in enumerate(row)] for i, row in enumerate(r)]
 show(product, "G R G")
 assert check_grg(N).passed
 print("\nG R G equals S exactly, so R = G^-1 S G^-1: the reciprocal Pascal")
@@ -56,8 +57,8 @@ banner("Factorization 2: triangle times alternating diagonal")
 l = l_matrix(N)
 d = d_matrix(N)
 show(l, "L (row m holds C(2m, m+k))")
-print("\nD =", d.diag)
-product = matmul(matmul(l, d), l.T)
+print("\nD =", d)
+product = matmul(from_rows([x * dk for x, dk in zip(row, d)] for row in l), l.T)
 show(product, "L D L^T")
 assert check_ldl(N).passed
 print("\nL D L^T equals S as well.  L is unit lower triangular, which is")

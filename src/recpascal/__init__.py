@@ -9,7 +9,6 @@ catalogued integer sequences.
 """
 from .combinatorics import ExactnessError, exact_div
 from .matrices import (
-    Diagonal,
     d_matrix,
     from_rows,
     g_matrix,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport",
-    "Diagonal",
     "ExactnessError",
     "GENERATED_IDS",
     "SequenceRecord",

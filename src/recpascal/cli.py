@@ -42,7 +42,8 @@ from .combinatorics import ExactnessError
 from .identities import _CHECKS, det_comparison, r_inverse_via_factorization
 from .linalg import invert_rational
 from .matrices import (
-    Diagonal,
+    Matrix,
+    _dense_diagonal,
     d_matrix,
     g_matrix,
     l_inverse_matrix,
@@ -178,9 +179,7 @@ def _matrix_reading(kind: str, n: int) -> SequenceRecord:
     if kind in _CATALOGUED_READINGS:
         return generated_sequence(_CATALOGUED_READINGS[kind], n)
     mat = _GENERATORS[kind](n)
-    if isinstance(mat, Diagonal):
-        return SequenceRecord(0, mat.diag)
-    return SequenceRecord(0, antidiagonal_sequence(mat))
+    return SequenceRecord(0, antidiagonal_sequence(mat) if isinstance(mat, Matrix) else mat)
 
 
 def _render_matrix(kind: str, n: int, fmt: str):
@@ -190,7 +189,7 @@ def _render_matrix(kind: str, n: int, fmt: str):
     if fmt == "bfile":
         return emit_bfile_blocks(_matrix_reading(kind, n))
     mat = _GENERATORS[kind](n)
-    dense = mat.to_dense() if isinstance(mat, Diagonal) else mat
+    dense = mat if isinstance(mat, Matrix) else _dense_diagonal(mat)
     return {"pretty": _render_pretty, "csv": _render_csv, "json": _render_json}[fmt](dense)
 
 

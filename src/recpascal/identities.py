@@ -36,12 +36,13 @@ import time
 from collections import namedtuple
 from functools import wraps
 from math import comb
+from operator import mul
 
 from .combinatorics import ExactnessError, exact_div
 from .linalg import _scaled_rows, leading_minors
 from .matrices import (
-    Diagonal,
     Matrix,
+    _dense_diagonal,
     _require_size,
     d_matrix,
     from_rows,
@@ -123,16 +124,20 @@ def _sign(k: int) -> int:
 
 @_check("grg")
 def check_grg(n: int) -> CheckReport:
-    """Super Catalan array against the central-binomial-scaled reciprocal array."""
+    """Super Catalan array against the central-binomial-scaled reciprocal
+    array G R G, each entry of R scaled once by the int g_i g_j."""
     g = g_matrix(n)
-    return _first_mismatch(super_catalan_matrix(n), matmul(matmul(g, reciprocal_pascal(n)), g))
+    return _first_mismatch(super_catalan_matrix(n), from_rows(
+        [gi * gj * x for gj, x in zip(g, row)] for gi, row in zip(g, reciprocal_pascal(n))))
 
 
 @_check("ldl")
 def check_ldl(n: int) -> CheckReport:
-    """Super Catalan array against the triangular-diagonal-triangular product."""
-    l = l_matrix(n)
-    return _first_mismatch(super_catalan_matrix(n), matmul(matmul(l, d_matrix(n)), l.T))
+    """Super Catalan array against the triangular-diagonal-triangular product
+    (L D) L^T, where L D is L with its columns scaled by D's diagonal."""
+    l, d = l_matrix(n), d_matrix(n)
+    ld = from_rows(map(mul, row, d) for row in l)
+    return _first_mismatch(super_catalan_matrix(n), matmul(ld, l.T))
 
 
 @_check("vonszily")
@@ -163,7 +168,7 @@ def check_l_inverse_column(n: int) -> CheckReport:
     diagonal is the parity claim: column 0 is even below its 1."""
     linv = l_inverse_matrix(n)
     return (_first_mismatch(identity(n), matmul(l_matrix(n), linv))
-            or _first_mismatch(from_rows([x] for x in d_matrix(n).diag),
+            or _first_mismatch(from_rows([x] for x in d_matrix(n)),
                                from_rows([row[0]] for row in linv)))
 
 
@@ -186,18 +191,24 @@ def _divide_entries(of: str, cells, nums, dens) -> list:
 def _r_inverse_columns(n: int) -> tuple[tuple, tuple]:
     """c = R^-1 e_0 and v = R^-1 k, k = (0, 1, ..., n-1), as int tuples.
 
-    2 R^-1 [e_0 | k] = G L^-T D' L^-1 G [e_0 | k], with D' = 2 D^-1
-    integer, is formed right to left as n x 2 products, so each costs
-    O(n^2); G [e_0 | k] is written down directly.  Both columns are halved
+    2 R^-1 b = G L^-T D' L^-1 G b, with D' = 2 D^-1 integer, is formed
+    right to left for b = e_0 and then for b = k: G b is written down
+    directly, D' and G scale entrywise, and L^-1 and L^-T each make one
+    n x 1 product, so each step costs O(n^2).  Both columns are halved
     with a check, and the first odd entry raises ExactnessError naming it:
     R^-1 is symmetric, so c is also row 0 and its entry j is (0, j) of
     R^-1, while entry m of v is (m, 0) of the column R^-1 k.
     """
     linv = l_inverse_matrix(n)
-    d2 = Diagonal(tuple(exact_div(2, d) for d in d_matrix(n).diag))
+    linv_t = linv.T
+    d2 = [exact_div(2, d) for d in d_matrix(n)]
     g = g_matrix(n)
-    gk = from_rows([int(m == 0), m * b] for m, b in enumerate(g.diag))
-    c2, v2 = zip(*matmul(g, matmul(linv.T, matmul(d2, matmul(linv, gk)))))
+    doubled = []
+    for gb in ([int(m == 0) for m in range(n)], [m * b for m, b in enumerate(g)]):
+        y = matmul(linv, from_rows([x] for x in gb))
+        z = matmul(linv_t, from_rows([d * x] for d, (x,) in zip(d2, y)))
+        doubled.append([b * x for b, (x,) in zip(g, z)])
+    c2, v2 = doubled
     return (tuple(_divide_entries("R^-1", ((0, j) for j in range(n)), c2, [2] * n)),
             tuple(_divide_entries("R^-1 k", ((m, 0) for m in range(n)), v2, [2] * n)))
 
@@ -252,7 +263,7 @@ def r_inverse_00(n: int) -> int:
     """Top-left entry of the inverse, from the closed expression
     1 + sum of column0[i]^2 / d[i]; alternates between +1 and -1 with n."""
     col = [row[0] for row in l_inverse_matrix(n)]
-    return 1 + sum(exact_div(c * c, d) for c, d in zip(col[1:], d_matrix(n).diag[1:]))
+    return 1 + sum(exact_div(c * c, d) for c, d in zip(col[1:], d_matrix(n)[1:]))
 
 
 def det_r_inverse_formula(n: int) -> Fraction:
@@ -261,7 +272,7 @@ def det_r_inverse_formula(n: int) -> Fraction:
     from fractions import Fraction
 
     prod = 1
-    for c in g_matrix(n).diag:
+    for c in g_matrix(n):
         prod *= c * c
     sign = _sign(n * (n + 1) // 2)
     return Fraction(sign * prod, 2 ** (n - 1))
@@ -314,7 +325,7 @@ def check_integrality(n: int) -> CheckReport:
     rinv = r_inverse_via_factorization(n)
     scaled, lcms = _scaled_rows(reciprocal_pascal(n))
     product = matmul(from_rows(scaled), rinv)
-    mismatch = _first_mismatch(Diagonal(lcms).to_dense(), product)
+    mismatch = _first_mismatch(_dense_diagonal(lcms), product)
     if mismatch is not None:
         i, j, _, x = mismatch
         return (i, j, int(i == j), Fraction(x, lcms[i]))

@@ -2,15 +2,16 @@
 
 Dense matrices are immutable tuples of equal-length row tuples holding
 Python ints or fractions.Fraction values, so entries read as m[i][j] and
-equality is plain ==.  Diagonal matrices get the lightweight Diagonal
-wrapper so products with them stay O(n^2).  A dense product forms each
-entry only over the overlap of its row's and column's nonzero spans, so a
-triangular or banded operand costs no multiplications by its known zeros;
-and when the operands have the congruence form a = b^T D, as in the
-checks of S = L D L^T and of von Szily's identity, it forms only the upper
-triangle of the symmetric product and mirrors it.  Both are read off the
-operands, exactly, in O(n^2); no caller selects them.  Only the functions
-that build a Fraction import fractions, here and in linalg and
+equality is plain ==.  The diagonal factors G and D are plain int tuples
+of their diagonals, which callers apply as entrywise scalings in O(n^2);
+_dense_diagonal is the one builder of a dense diagonal matrix.  A product
+forms each entry only over the overlap of its row's and column's nonzero
+spans, so a triangular or banded operand costs no multiplications by its
+known zeros; and when the operands have the congruence form a = b^T D, as
+in the checks of S = L D L^T and of von Szily's identity, it forms only
+the upper triangle of the symmetric product and mirrors it.  Both are read
+off the operands, exactly, in O(n^2); no caller selects them.  Only the
+functions that build a Fraction import fractions, here and in linalg and
 identities, so a command that never makes one, such as invert or a plain
 oeis emit, starts without it.
 
@@ -26,7 +27,6 @@ Tests pin the generated entries to math.comb and S to the factorial ratio.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import accumulate, compress, count
 from operator import mul
 
@@ -80,26 +80,13 @@ def from_rows(rows) -> Matrix:
 def identity(n: int) -> Matrix:
     """Integer identity matrix."""
     _require_size(n)
-    return Diagonal((1,) * n).to_dense()
+    return _dense_diagonal((1,) * n)
 
 
-class Diagonal(namedtuple("Diagonal", "diag")):
-    """Square diagonal matrix stored as its diagonal; to_dense() is the
-    package's one builder of a dense diagonal matrix."""
-
-    __slots__ = ()
-
-    def __new__(cls, diag):
-        diag = tuple(diag)
-        if not diag:
-            raise ValueError("empty diagonal")
-        return super().__new__(cls, diag)
-
-    def to_dense(self) -> Matrix:
-        n = len(self.diag)
-        return from_rows(
-            [[self.diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+def _dense_diagonal(diag) -> Matrix:
+    """Dense square matrix with diag on its diagonal and zeros elsewhere."""
+    n = len(diag)
+    return from_rows([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def pascal_matrix(n: int) -> Matrix:
@@ -140,9 +127,9 @@ def super_catalan_matrix(n: int) -> Matrix:
     return from_rows(rows)
 
 
-def g_matrix(n: int) -> Diagonal:
-    """Diagonal of central binomial coefficients C(2m, m)."""
-    return Diagonal(_central_binomials(n))
+def g_matrix(n: int) -> tuple:
+    """G's diagonal: the central binomial coefficients C(2m, m)."""
+    return tuple(_central_binomials(n))
 
 
 def l_matrix(n: int) -> Matrix:
@@ -174,10 +161,10 @@ def l_inverse_matrix(n: int) -> Matrix:
     return from_rows(rows)
 
 
-def d_matrix(n: int) -> Diagonal:
-    """Diagonal (1, -2, 2, -2, ...): a leading 1, then alternating -2 and 2."""
+def d_matrix(n: int) -> tuple:
+    """D's diagonal (1, -2, 2, -2, ...): a leading 1, then alternating -2 and 2."""
     _require_size(n)
-    return Diagonal((1,) + tuple(-2 if m % 2 else 2 for m in range(1, n)))
+    return (1,) + tuple(-2 if m % 2 else 2 for m in range(1, n))
 
 
 def _span(v) -> tuple[int, int]:
@@ -208,9 +195,9 @@ def _is_congruence(a, b) -> bool:
 
 
 def matmul(a, b):
-    """Exact matrix product; a Diagonal operand becomes a row or column scaling.
+    """Exact product of two dense matrices.
 
-    A dense entry sums a[i][k] b[k][j] only over the overlap of the nonzero
+    An entry sums a[i][k] b[k][j] only over the overlap of the nonzero
     spans of row i of a and column j of b, since every other term is a known
     zero; an empty overlap gives the int 0.  A full row's span slice is the
     row tuple itself, not a copy, so a dense product pays nothing per entry
@@ -219,14 +206,6 @@ def matmul(a, b):
     i <= j are formed and the rest mirrored.  Entries equal the full sums
     by value.
     """
-    if isinstance(a, Diagonal):
-        if len(a.diag) != b.shape[0]:
-            raise ValueError(f"dimension mismatch: {len(a.diag)} vs {b.shape}")
-        return from_rows([d * x for x in row] for d, row in zip(a.diag, b))
-    if isinstance(b, Diagonal):
-        if a.shape[1] != len(b.diag):
-            raise ValueError(f"dimension mismatch: {a.shape} vs {len(b.diag)}")
-        return from_rows(map(mul, row, b.diag) for row in a)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
     trimmed = []

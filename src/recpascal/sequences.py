@@ -197,7 +197,7 @@ def det_inverse_sequence(max_n: int) -> SequenceRecord:
     """
     terms = []
     det = 1
-    for c, d in zip(g_matrix(max_n).diag, d_matrix(max_n).diag):
+    for c, d in zip(g_matrix(max_n), d_matrix(max_n)):
         det = exact_div(det * c * c, d)
         terms.append(det)
     return SequenceRecord(1, terms)
@@ -253,7 +253,7 @@ def generated_sequence(oeis_id: str, n: int) -> SequenceRecord:
     # rule would return row 0 for n = 0
     _require_size(n)
     if oeis_id == "A000984":
-        return SequenceRecord(0, g_matrix(n).diag)
+        return SequenceRecord(0, g_matrix(n))
     if oeis_id == "A007318":
         return SequenceRecord(0, chain.from_iterable(_pascal_triangle_rows(n)))
     if oeis_id == "A094527":

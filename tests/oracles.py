@@ -114,11 +114,11 @@ def r_inverse_by_congruence(n: int) -> list:
     2 R^-1 = G L^-T D' L^-1 G with D' = 2 D^-1, the congruence a full
     triple sum, then every entry halved with a remainder check."""
     linv = l_inverse_matrix(n)
-    d2 = [Fraction(2, d) for d in d_matrix(n).diag]
+    d2 = [Fraction(2, d) for d in d_matrix(n)]
     assert all(x.denominator == 1 for x in d2)
     core = matmul_triple_sum([[linv[k][i] * int(d2[k]) for k in range(n)] for i in range(n)],
                              linv)
-    g = g_matrix(n).diag
+    g = g_matrix(n)
     doubled = [[g[i] * x * g[j] for j, x in enumerate(row)] for i, row in enumerate(core)]
     assert all(x % 2 == 0 for row in doubled for x in row)
     return [[x // 2 for x in row] for row in doubled]

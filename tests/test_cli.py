@@ -17,8 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from recpascal import (GENERATED_IDS, Diagonal, cli, generated_sequence, identities, matrices,
-                       sequences)
+from recpascal import GENERATED_IDS, cli, generated_sequence, identities, matrices, sequences
 
 from oracles import (
     A000984_BFILE,
@@ -153,14 +152,15 @@ def test_gen_diagonal_matrices_render_dense():
 
 
 def test_gen_d_bfile_is_its_diagonal():
-    # D has no catalogued reading, so its b-file is its own diagonal
+    # D has no catalogued reading, so its b-file is its own diagonal, by
+    # closed form a leading 1 and then 2 (-1)^k
     res = run_cli("gen", "--matrix", "D", "--n", "4", "--format", "bfile")
     assert (res.returncode, res.stdout, res.stderr) == (0, "0 1\n1 -2\n2 2\n3 -2\n", "")
     for n in range(1, 65):
         code, out, err = _main_in_process(["gen", "--matrix", "D", "--n", str(n),
                                            "--format", "bfile"])
         assert (code, err) == (0, "")
-        assert out == "".join(f"{k} {d}\n" for k, d in enumerate(matrices.d_matrix(n).diag))
+        assert out == "".join(f"{k} {2 * (-1) ** k if k else 1}\n" for k in range(n))
 
 
 def test_gen_default_size_is_8():
@@ -287,8 +287,8 @@ def test_a_route_exactness_error_exits_1_without_traceback(monkeypatch, tmp_path
     # with D = (2) the doubled inverse and the determinant step are the odd
     # 1: the route's checked halving fails, a failed integrality claim; the
     # inverse route names the entry, c_0 = R^-1[0][0]
-    monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((2,) * n))
-    monkeypatch.setattr(sequences, "d_matrix", lambda n: Diagonal((2,) * n))
+    monkeypatch.setattr(identities, "d_matrix", lambda n: (2,) * n)
+    monkeypatch.setattr(sequences, "d_matrix", lambda n: (2,) * n)
     entry = "" if argv[0] == "oeis" else "entry (0, 0) of R^-1: "
     message = f"recpascal: an exactness claim failed: {entry}1 is not divisible by 2\n"
     assert _main_in_process([*argv, "--n", "1"]) == (1, "", message)
@@ -314,22 +314,23 @@ def test_a_failed_fill_division_names_its_entry(monkeypatch):
 
 
 def test_an_odd_entry_of_the_doubled_v_names_its_entry(monkeypatch):
-    # 1 added to entry 3 of the second column of the last n x 2 product,
-    # 2 R^-1 [e_0 | k]: halving v = R^-1 k fails there, and invert and the
-    # integrality check name that entry of R^-1 k, not a bare division
-    calls = []
+    # 1 added to entry 3 of the doubled column 2 R^-1 k as it is handed to
+    # the halving, the route's second division: halving v = R^-1 k fails
+    # there, and invert and the integrality check name that entry of
+    # R^-1 k, not a bare division
+    calls, halving = [], identities._divide_entries
 
-    def planting(a, b):
-        product = matrices.matmul(a, b)
+    def planting(of, cells, nums, dens):
         calls.append(None)
-        if len(calls) % 4:
-            return product
-        return matrices.from_rows([y, w + (m == 3)] for m, (y, w) in enumerate(product))
+        if len(calls) == 2:
+            nums = [y + (m == 3) for m, y in enumerate(nums)]
+        return halving(of, cells, nums, dens)
 
-    monkeypatch.setattr(identities, "matmul", planting)
+    monkeypatch.setattr(identities, "_divide_entries", planting)
     assert _main_in_process(["invert", "--n", "8"]) == (
         1, "", "recpascal: an exactness claim failed: "
                "entry (3, 0) of R^-1 k: -117599 is not divisible by 2\n")
+    calls.clear()
     code, out, err = _main_in_process(["check", "--checks", "integrality", "--n", "8"])
     assert (code, err) == (1, "")
     assert json.loads(out)[0]["counterexample"] == {

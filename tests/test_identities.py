@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 from recpascal import (
     GENERATED_IDS,
     CheckReport,
-    Diagonal,
     ExactnessError,
     check_det,
     check_grg,
@@ -98,8 +97,9 @@ def test_grg_pinned_sizes():
 
 def test_grg_product_literally():
     g = g_matrix(3)
-    product = matmul(matmul(g, reciprocal_pascal(3)), g)
-    assert product.tolist() == [[1, 2, 6], [2, 2, 4], [6, 4, 6]]
+    product = [[g[i] * x * g[j] for j, x in enumerate(row)]
+               for i, row in enumerate(reciprocal_pascal(3))]
+    assert product == [[1, 2, 6], [2, 2, 4], [6, 4, 6]]
 
 
 def test_ldl_pinned_sizes():
@@ -108,8 +108,8 @@ def test_ldl_pinned_sizes():
 
 
 def test_ldl_product_literally():
-    l = l_matrix(3)
-    product = matmul(matmul(l, d_matrix(3)), l.T)
+    l, d = l_matrix(3), d_matrix(3)
+    product = matmul(from_rows([x * d[k] for k, x in enumerate(row)] for row in l), l.T)
     assert product.tolist() == [[1, 2, 6], [2, 2, 4], [6, 4, 6]]
 
 
@@ -220,7 +220,7 @@ def test_l_inverse_column_pinned_sizes():
 
 def test_l_inverse_column_matches_full_inverse():
     linv = invert_rational(l_matrix(8))
-    assert [linv[i][0] for i in range(8)] == list(d_matrix(8).diag)
+    assert tuple(linv[i][0] for i in range(8)) == d_matrix(8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,7 +241,7 @@ def test_l_inverse_column_catches_an_error_off_column_0(data):
 
 def test_l_inverse_column_compares_column_0_with_d(monkeypatch):
     # L . L^-1 = I holds, so only column 0 against D's diagonal sees the 4
-    monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((1, -2, 4, -2)))
+    monkeypatch.setattr(identities, "d_matrix", lambda n: (1, -2, 4, -2))
     assert check_l_inverse_column(4).counterexample == (2, 0, 4, 2)
 
 
@@ -295,7 +295,8 @@ def test_r_inverse_equals_the_congruence_sandwich_sampled(n):
 
 
 def test_r_inverse_forms_no_square_product(monkeypatch):
-    # the factors act on two vectors: every product the route forms is n x 2
+    # the factors act on e_0 and k one at a time: every product the route
+    # forms is n x 1, one by L^-1 and one by L^-T for each
     shapes = []
 
     def recording(a, b):
@@ -305,7 +306,7 @@ def test_r_inverse_forms_no_square_product(monkeypatch):
 
     monkeypatch.setattr(identities, "matmul", recording)
     r_inverse_via_factorization(9)
-    assert shapes == [(9, 2)] * 4
+    assert shapes == [(9, 1)] * 4
 
 
 @settings(max_examples=30, deadline=None)
@@ -425,7 +426,7 @@ def test_integrality_pinned_sizes():
 def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
     # with D = (2) the doubled column 2c is the odd 1: halving it must raise,
     # and the integrality check must report 1/2 rather than round it
-    monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((2,) * n))
+    monkeypatch.setattr(identities, "d_matrix", lambda n: (2,) * n)
     with pytest.raises(ExactnessError):
         r_inverse_via_factorization(1)
     rep = check_integrality(1)
@@ -436,10 +437,11 @@ def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_an_odd_entry_of_a_doubled_column_names_its_entry(data):
-    # 1 added to entries of one column of the last of the route's four n x 2
-    # products, 2 R^-1 [e_0 | k]; R^-1 is symmetric, so c is row 0 and an
-    # odd 2c_j + 1 is named as the entry (0, j) of R^-1, while an odd
-    # 2v_m + 1 is the entry (m, 0) of the column R^-1 k
+    # 1 added to entries of one doubled column, 2 R^-1 e_0 or 2 R^-1 k, as
+    # it is handed to the halving, the route's first two divisions; R^-1 is
+    # symmetric, so c is row 0 and an odd 2c_j + 1 is named as the entry
+    # (0, j) of R^-1, while an odd 2v_m + 1 is the entry (m, 0) of the
+    # column R^-1 k
     n = data.draw(st.integers(1, 48), label="n")
     column = data.draw(st.sampled_from((0, 1)), label="column")
     odd = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="odd")
@@ -447,21 +449,20 @@ def test_an_odd_entry_of_a_doubled_column_names_its_entry(data):
     x = 2 * identities._r_inverse_columns(n)[column][m] + 1
     (i, j), of, claim = (((0, m), "R^-1", "an integer entry") if column == 0 else
                          ((m, 0), "R^-1 k", "an integer entry of R^-1 k"))
-    calls = []
+    calls, halving = [], identities._divide_entries
 
-    def planting(a, b):
-        product = matmul(a, b)
+    def planting(of, cells, nums, dens):
         calls.append(None)
-        if len(calls) % 4:
-            return product
-        return from_rows([y + (k in odd) * (col == column) for col, y in enumerate(row)]
-                         for k, row in enumerate(product))
+        if len(calls) == column + 1:
+            nums = [y + (k in odd) for k, y in enumerate(nums)]
+        return halving(of, cells, nums, dens)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(identities, "matmul", planting)
+        mp.setattr(identities, "_divide_entries", planting)
         message = f"entry ({i}, {j}) of {of}: {x} is not divisible by 2"
         with pytest.raises(ExactnessError, match=f"^{re.escape(message)}$"):
             r_inverse_via_factorization(n)
+        calls.clear()
         rep = check_integrality(n)
     assert rep.counterexample == (i, j, claim, Fraction(x, 2))
 
@@ -541,7 +542,7 @@ def test_an_exactness_error_becomes_the_counterexample(monkeypatch):
 
 def test_only_an_exactness_error_becomes_a_report(monkeypatch):
     # D' = 2 D^-1 divides 2 by D's 0: a ZeroDivisionError is no failed claim
-    monkeypatch.setattr(identities, "d_matrix", lambda n: Diagonal((1, 0)))
+    monkeypatch.setattr(identities, "d_matrix", lambda n: (1, 0))
     with pytest.raises(ZeroDivisionError):
         check_integrality(2)
 
@@ -576,16 +577,15 @@ _READERS = {
 
 
 def _faulty(original, site, change):
-    """original with change applied to its entry at site: an index into a
-    list or a Diagonal's diagonal, an (i, j) pair into a dense matrix."""
+    """original with change applied to its entry at site: an (i, j) pair
+    into a dense matrix, an index into a list or a diagonal's tuple.  A
+    Matrix is itself a tuple, so it is told apart first."""
     def planted(n):
         made = original(n)
-        if isinstance(made, Diagonal):
-            return Diagonal(change(x) if k == site else x for k, x in enumerate(made.diag))
-        if isinstance(made, list):
-            return [change(x) if k == site else x for k, x in enumerate(made)]
-        return from_rows([change(x) if (i, j) == site else x for j, x in enumerate(row)]
-                         for i, row in enumerate(made))
+        if isinstance(made, matrices.Matrix):
+            return from_rows([change(x) if (i, j) == site else x for j, x in enumerate(row)]
+                             for i, row in enumerate(made))
+        return type(made)(change(x) if k == site else x for k, x in enumerate(made))
     return planted
 
 
@@ -597,8 +597,7 @@ def test_a_planted_generator_fault_fails_exactly_its_readers(monkeypatch, genera
     original = getattr(matrices, generator)
     if fault == "odd":
         made = original(10)
-        entry = made.diag[site] if isinstance(made, Diagonal) else (
-            made[site] if isinstance(made, list) else made[site[0]][site[1]])
+        entry = made[site[0]][site[1]] if isinstance(made, matrices.Matrix) else made[site]
         assert entry % 2 == 0, (generator, site, entry)
     planted = _faulty(original, site, _FAULTS[fault])
     for module in (matrices, identities):
