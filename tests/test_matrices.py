@@ -179,6 +179,16 @@ def test_matmul_pinned():
         assert matmul(a, b).tolist() == matmul_triple_sum(a, b)
 
 
+def test_matmul_matches_dense_diagonal_product():
+    # the checks scale rows and columns by a diagonal tuple directly; that
+    # must equal the product with the dense diagonal matrix
+    g = g_matrix(5)
+    m = pascal_matrix(5)
+    dense_g = matrices._dense_diagonal(g)
+    assert matmul(dense_g, m) == from_rows([[g[i] * x for x in row] for i, row in enumerate(m)])
+    assert matmul(m, dense_g) == from_rows(map(mul, row, g) for row in m)
+
+
 entries = st.one_of(
     st.integers(-50, 50),
     st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
@@ -305,6 +315,27 @@ def test_equal_compares_shape_and_entries():
     assert g != from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 7]])
     assert pascal_matrix(2) != pascal_matrix(3)
     assert pascal_matrix(3) != super_catalan_matrix(3)
+
+
+def test_diagonal_validation():
+    with pytest.raises(ValueError):
+        matrices._dense_diagonal(())
+    with pytest.raises(ValueError):
+        matrices._dense_diagonal([])
+    for diagonal in (g_matrix, d_matrix):
+        with pytest.raises(ValueError):
+            diagonal(0)
+
+
+def test_diagonal_is_an_immutable_value():
+    for diagonal in (g_matrix, d_matrix):
+        d = diagonal(4)
+        assert type(d) is tuple and all(type(x) is int for x in d)
+        assert d == diagonal(4) and hash(d) == hash(diagonal(4))
+        assert d != diagonal(5)
+        with pytest.raises(TypeError):
+            d[0] = 5
+    assert g_matrix(2) != d_matrix(2)
 
 
 def test_from_rows_rejects_ragged_input():
