@@ -14,10 +14,12 @@ b-file text moves through fixed-size blocks in both directions: emit yields
 a record's text a thousand lines at a time, so a writer never holds the
 whole file as one string, and parse reads an open text stream in slices of
 about 32 KiB that end just after a "\n", so neither the whole text nor a
-list of every line is held.  Each run of plain records, two ASCII integer
-fields to a line padded only with spaces and tabs, is converted in bulk;
-every other line, and a run whose indices break or whose fields fail int(),
-is read line by line, the only reading that skips or raises.
+list of every line is held.  A slice that is one run of plain records, two
+ASCII integer fields to a line padded only with spaces and tabs, is
+converted in bulk; any other slice, and a run whose indices break or whose
+fields fail int(), is read line by line, the only reading that skips or
+raises.  The run is found by a match that must end at the slice's end, as
+a fullmatch would backtrack through every line when the last one fails.
 """
 from __future__ import annotations
 
@@ -51,8 +53,9 @@ _LINE = r"\s*(-?[0-9]+)\s+(-?[0-9]+)\s*"
 # A run of plain records: lines of two fields padded only with ASCII spaces
 # and tabs, each ended by "\n" or "\r\n".  Such a line is one splitlines()
 # line that _LINE matches, and str.split() yields exactly its two fields.
-# Used with match, never fullmatch: a fullmatch failing on a slice's last
-# line would backtrack through every line before it.
+# A slice is one run when a match of it ends at its end.  Not fullmatch: a
+# fullmatch failing on a slice's last line would backtrack through every
+# line before it.  A possessive quantifier would not, but needs Python 3.11.
 _RUN = r"(?:[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*\r?\n)+"
 
 # Block sizes are constants, not parameters: a block's memory grows with the
@@ -108,21 +111,25 @@ def parse_bfile(stream) -> SequenceRecord:
     consecutive.  The stream is read a slice at a time, _PARSE_CHARS
     characters and the rest of their line, so every slice ends just after
     a "\n" (text mode reads "\r\n" and a lone "\r" as one) and neither the
-    text nor a list of every line is held.  Each run of plain records (_RUN)
-    is read in bulk: one split, one map(int, ...) and one comparison of its
-    indices with the range they must count.  A line where no run starts is
-    read on its own, with the lines up to the next "\n", after which a run
-    is tried again; a run whose indices break or whose fields fail int() is
-    read line by line as a whole.  A line is read by one regular-expression
-    match, and only a line that fails it is tested for being blank or a
-    comment.  Malformed or out-of-order lines raise ValueError naming the
-    offending line number; a field past the interpreter's int <-> str digit
-    limit raises the interpreter's own ValueError.  The codec counts a
-    UnicodeDecodeError's position from the block it was decoding, so one
-    from a slice read is raised as ValueError("after line L: <its text>"),
-    L the last line read in full; other read errors are raised as the
-    stream raises them.  Only the line-by-line reading skips or raises, so
-    the bulk reading changes no record and no error.
+    text nor a list of every line is held.  Each slice is decided once: if
+    a match of _RUN ends at the slice's end, the slice is one run of plain
+    records and is read in bulk, with one split, one map(int, ...) and one
+    comparison of its indices with the range they must count.  Any other
+    slice, one holding a comment, a blank or malformed line, or a last line
+    with no "\n", is read line by line, and so is a run whose indices break
+    or whose fields fail int().  The test is match plus that end check, not
+    fullmatch, which backtracks through every line when the last one fails,
+    and not a possessive quantifier, which needs Python 3.11.  Read line
+    by line, a line takes one regular-expression match, and only a line
+    that fails it is tested for being blank or a comment.  Malformed or
+    out-of-order lines raise ValueError naming the offending line number;
+    a field past the interpreter's int <-> str digit limit raises the
+    interpreter's own ValueError.  The codec counts a UnicodeDecodeError's
+    position from the block it was decoding, so one from a slice read is
+    raised as ValueError("after line L: <its text>"), L the last line read
+    in full; other read errors are raised as the stream raises them.  Only
+    the line-by-line reading skips or raises, so the bulk reading changes
+    no record and no error.
     """
     line_re, run_re = re.compile(_LINE), re.compile(_RUN)
     prev = None
@@ -135,35 +142,28 @@ def parse_bfile(stream) -> SequenceRecord:
             raise ValueError(f"after line {lineno}: {exc}") from exc
         if not chunk:
             break
-        pos = 0
-        while pos < len(chunk):
-            run = run_re.match(chunk, pos)
-            bulk = run and _read_run(run.group(), prev)
-            if bulk:
-                indices, values = bulk
-                prev = indices[-1]
-                terms += values
-                lineno += len(indices)
-                pos = run.end()
-                continue
-            # no run here: read up to the next "\n" line by line; every line
-            # of a run ends in "\n", so one is tried again after it
-            end = run.end() if run else chunk.find("\n", pos) + 1 or len(chunk)
-            # the loop rebinds lineno, so it ends at the last line number read
-            for lineno, line in enumerate(chunk[pos:end].splitlines(), start=lineno + 1):
-                match = line_re.fullmatch(line)
-                if match is None:
-                    stripped = line.strip()
-                    if not stripped or stripped.startswith("#"):
-                        continue
-                    raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
-                idx, value = match.groups()
-                idx = int(idx)
-                if prev is not None and idx != prev + 1:
-                    raise ValueError(f"line {lineno}: index {idx} does not follow {prev}")
-                prev = idx
-                terms.append(int(value))
-            pos = end
+        run = run_re.match(chunk)
+        bulk = run and run.end() == len(chunk) and _read_run(chunk, prev)
+        if bulk:
+            indices, values = bulk
+            prev = indices[-1]
+            terms += values
+            lineno += len(indices)
+            continue
+        # the loop rebinds lineno, so it ends at the last line number read
+        for lineno, line in enumerate(chunk.splitlines(), start=lineno + 1):
+            match = line_re.fullmatch(line)
+            if match is None:
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
+            idx, value = match.groups()
+            idx = int(idx)
+            if prev is not None and idx != prev + 1:
+                raise ValueError(f"line {lineno}: index {idx} does not follow {prev}")
+            prev = idx
+            terms.append(int(value))
     if not terms:
         raise ValueError("no terms found")
     # the indices are consecutive, so the last one and the count fix the first

@@ -323,6 +323,21 @@ def test_r_inverse_satisfies_the_hankel_displacement_identity(n):
                     == v[i] * c[j] - c[i] * v[j]), (i, j)
 
 
+def test_route_columns_match_their_closed_forms():
+    # c = R^-1 e_0 and v = R^-1 k from math.comb alone, outside the route:
+    # c_j = (-1)^(n-1+j) C(n-1+j, j) C(n-1, j) and
+    # v_j = (-1)^j n(n-1) C(n-1+j, j) C(n-1, j) / (j+1), an exact division
+    for n in range(1, 161):
+        c, v = [], []
+        for j in range(n):
+            b = comb(n - 1 + j, j) * comb(n - 1, j)
+            c.append((-1) ** (n - 1 + j) * b)
+            q, r = divmod((-1) ** j * n * (n - 1) * b, j + 1)
+            assert r == 0, (n, j)
+            v.append(q)
+        assert identities._r_inverse_columns(n) == (tuple(c), tuple(v)), n
+
+
 def _plant(n, column, m, delta):
     """identities._r_inverse_columns for size n with delta added to entry m
     of its column "c" or "v"."""

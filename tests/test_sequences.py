@@ -285,9 +285,10 @@ def _commented_bfile_texts(draw):
 @settings(max_examples=300, deadline=None)
 @given(_commented_bfile_texts(), st.data())
 def test_records_after_comments_and_blank_lines_are_read_in_bulk(drawn, data):
-    # after each line it reads on its own, the parser goes back to reading
-    # runs of plain records in bulk: every record is read in bulk, and the
-    # outcome is the line-by-line reader's at every slice size
+    # each slice is read in bulk when it holds only plain records, and line
+    # by line otherwise: records after a comment or blank line in a later
+    # slice are read in bulk, and the outcome is the line-by-line reader's
+    # at every slice size
     text, count = drawn
     block_chars = data.draw(st.integers(1, len(text) + 1))
     read_run, in_bulk = sequences._read_run, []
@@ -303,7 +304,15 @@ def test_records_after_comments_and_blank_lines_are_read_in_bulk(drawn, data):
         mp.setattr(sequences, "_read_run", counted_read_run)
         outcome = _parse_outcome(_parse, text)
     assert outcome == _parse_outcome(parse_bfile_by_fields, text)
-    assert len(in_bulk) == count
+    # the slices parse_bfile reads, cut as it cuts them
+    stream, plain = io.StringIO(text), []
+    while piece := stream.read(block_chars) + stream.readline():
+        lines = piece.splitlines()
+        if not any(line in _SKIPPED_LINES for line in lines):
+            plain += [int(line.split()[0]) for line in lines]
+    assert in_bulk == plain
+    if len(text.splitlines()) == count:
+        assert len(in_bulk) == count
 
 
 def test_a_digit_limit_error_precedes_a_later_index_gap():
