@@ -2,13 +2,13 @@
 
 R is built from nothing but reciprocals 1/C(i+j, i), yet its inverse has
 plain integer entries.  The factorization route makes that visible: invert
-the unit triangle by its closed form (stays integer), and replace the only
-fractional factor, D^-1 = diag(1, -1/2, 1/2, ...), by the integer diagonal
-D' = 2 D^-1.  Applied to e_0 and k = (0, 1, ..., n-1), G L^-T D' L^-1 G
-gives two columns of 2 R^-1 in plain integers, halved with a checked
-division: c = R^-1 e_0 and v = R^-1 k.  Because R is a Hankel matrix
-scaled by diag(i!) on both sides, every other entry follows from c and v
-by the displacement recurrence
+the unit triangle by its closed form (stays integer), and apply
+G L^-T D^-1 L^-1 G to e_0 and k = (0, 1, ..., n-1) in plain integers.  The
+only fractional factor, D^-1 = diag(1, -1/2, 1/2, ...), divides exactly
+there, with a check: L^-1 G e_0 is D's diagonal, and every entry of
+L^-1 G k is even.  That gives c = R^-1 e_0 and v = R^-1 k.  Because R
+is a Hankel matrix scaled by diag(i!) on both sides, every other entry
+follows from c and v by the displacement recurrence
 (j+1) R^-1[i][j+1] - (i+1) R^-1[i+1][j] = v_i c_j - c_i v_j,
 one checked division per entry, run upward from the zero row R^-1[n][.].
 Each division is the integrality claim for its entry: a remainder would

@@ -1,7 +1,7 @@
 """Race the two inversion routes and watch coefficient growth.
 
 The factorization route works in plain integers: two columns of the
-inverse from the factors, each entry halved with a check, and the rest by
+inverse from the factors, D^-1 dividing with a check, and the rest by
 the Hankel displacement recurrence, one checked division per entry.
 Gauss-Jordan eliminates on integer rows by primitive-row steps: the two
 multipliers are reduced by their gcd, and the new row is divided by the

@@ -119,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="integer inverse via the factorization")
     p.add_argument("--format", dest="fmt", choices=_FORMATS, default="pretty")
     add_common(p)
+    p.set_defaults(matrix="Rinv")
 
     p = sub.add_parser("det", help="closed-form determinant next to the exact oracle")
     p.add_argument("--format", dest="fmt", choices=("pretty", "json"), default="pretty")
@@ -330,10 +331,8 @@ def run(args: argparse.Namespace) -> int:
     lines at a time and any other output as one string.  A failed write
     raises OSError, which main turns into exit 2.
     """
-    if args.command == "gen":
+    if args.command in ("gen", "invert"):
         pieces, code = _render_matrix(args.matrix, args.n, args.fmt), 0
-    elif args.command == "invert":
-        pieces, code = _render_matrix("Rinv", args.n, args.fmt), 0
     elif args.command == "det":
         pieces, code = _det_output(args)
     elif args.command == "check":

@@ -2,19 +2,19 @@
 path that inverts the reciprocal Pascal matrix through its triangular and
 diagonal factors.
 
-The inverse R^-1 = G L^-T D^-1 L^-1 G is built in plain ints: only
-D^-1 = diag(1, -1/2, 1/2, ...) is fractional, and D' = 2 D^-1 is integer.
-The route applies G L^-T D' L^-1 G to two vectors, e_0 and k = (0, 1, ...,
-n-1), and halves the results with a checked division: c = R^-1 e_0 and
-v = R^-1 k.  R = F H F with F = diag(i!) and H[i][j] = 1/(i+j)! a Hankel
-matrix, and the inverse of a Hankel matrix has displacement rank 2, so
-every other entry of R^-1 follows from c and v by a recurrence run upward
-from a zero row, O(1) products and one checked division each: O(n^2) work
-in all, where the congruence L^-T D' L^-1 costs n^3/6 products.  Every
-division, the halvings of c and v included, is checked, so the
-integrality claim is checked at every entry; a division cannot tell a
-wrong integer from a right one, so every row sum is checked against row 0
-of R R^-1 = I too.
+The inverse R^-1 = G L^-T D^-1 L^-1 G is built in plain ints.  The route
+applies it to two vectors, e_0 and k = (0, 1, ..., n-1): c = R^-1 e_0 and
+v = R^-1 k.  Only D^-1 = diag(1, -1/2, 1/2, ...) is fractional, and on
+those two vectors it divides exactly, with a check: L^-1 G e_0 is D's
+diagonal and L^-1 G k is even.  R = F H F with F = diag(i!) and
+H[i][j] = 1/(i+j)! a Hankel matrix, and the inverse of a Hankel matrix
+has displacement rank 2, so every other entry of R^-1 follows from c and
+v by a recurrence run upward from a zero row, O(1) products and one
+checked division each: O(n^2) work in all, where the congruence
+L^-T D^-1 L^-1 costs n^3/6 products.  Every division, D^-1's included,
+is checked, so the integrality claim is checked at every entry; a
+division cannot tell a wrong integer from a right one, so every row sum
+is checked against row 0 of R R^-1 = I too.
 
 The super Catalan array S has one route, matrices.super_catalan_matrix, and
 every check compares against it; the tests pin it to the factorial ratio.
@@ -142,20 +142,19 @@ def check_ldl(n: int) -> CheckReport:
 
 @_check("vonszily")
 def check_von_szily_upto(n: int) -> CheckReport:
-    """Von Szily's identity sum_j (-1)^j C(2m, m+j) C(2m', m'-j) = S(m, m')
+    """Von Szily's identity sum_j (-1)^j C(2m, m+j) C(2m', m'+j) = S(m, m')
     for every index pair below n, as one integer product.
 
     Row m of T holds C(2m, m+j) for j = -(n-1)..n-1, zero where |j| > m; each
     entry is one math.comb call, so the table is independent of l_matrix.
-    The signed T times its column-reversed transpose gives every two-sided
-    sum at once, compared with super_catalan_matrix(n).
+    The signed T times T^T gives every two-sided sum at once, compared with
+    super_catalan_matrix(n).
     """
     _require_size(n)
-    t = [[comb(2 * m, m + j) if -m <= j <= m else 0 for j in range(1 - n, n)]
-         for m in range(n)]
+    t = from_rows([comb(2 * m, m + j) if -m <= j <= m else 0 for j in range(1 - n, n)]
+                  for m in range(n))
     signed = from_rows([_sign(j) * x for j, x in enumerate(row, 1 - n)] for row in t)
-    reversed_t = from_rows(row[::-1] for row in t)
-    return _first_mismatch(super_catalan_matrix(n), matmul(signed, reversed_t.T))
+    return _first_mismatch(super_catalan_matrix(n), matmul(signed, t.T))
 
 
 @_check("parity")
@@ -191,26 +190,26 @@ def _divide_entries(of: str, cells, nums, dens) -> list:
 def _r_inverse_columns(n: int) -> tuple[tuple, tuple]:
     """c = R^-1 e_0 and v = R^-1 k, k = (0, 1, ..., n-1), as int tuples.
 
-    2 R^-1 b = G L^-T D' L^-1 G b, with D' = 2 D^-1 integer, is formed
-    right to left for b = e_0 and then for b = k: G b is written down
-    directly, D' and G scale entrywise, and L^-1 and L^-T each make one
-    n x 1 product, so each step costs O(n^2).  Both columns are halved
-    with a check, and the first odd entry raises ExactnessError naming it:
-    R^-1 is symmetric, so c is also row 0 and its entry j is (0, j) of
-    R^-1, while entry m of v is (m, 0) of the column R^-1 k.
+    R^-1 b = G L^-T D^-1 L^-1 G b is formed right to left for b = e_0 and
+    then for b = k: G b is written down directly, D^-1 divides and G
+    scales entrywise, and L^-1 and L^-T each make one n x 1 product, so
+    each step costs O(n^2).  D^-1 divides exactly where it sits:
+    L^-1 G e_0 is the first column of L^-1, which is D's diagonal (the
+    parity claim), and every entry of G k = (m C(2m, m)) is even.  Each
+    division is checked, and the first remainder raises ExactnessError
+    naming its entry (m, 0) of the column D^-1 L^-1 G e_0 or D^-1 L^-1 G k.
     """
     linv = l_inverse_matrix(n)
     linv_t = linv.T
-    d2 = [exact_div(2, d) for d in d_matrix(n)]
-    g = g_matrix(n)
-    doubled = []
-    for gb in ([int(m == 0) for m in range(n)], [m * b for m, b in enumerate(g)]):
-        y = matmul(linv, from_rows([x] for x in gb))
-        z = matmul(linv_t, from_rows([d * x] for d, (x,) in zip(d2, y)))
-        doubled.append([b * x for b, (x,) in zip(g, z)])
-    c2, v2 = doubled
-    return (tuple(_divide_entries("R^-1", ((0, j) for j in range(n)), c2, [2] * n)),
-            tuple(_divide_entries("R^-1 k", ((m, 0) for m in range(n)), v2, [2] * n)))
+    d, g = d_matrix(n), g_matrix(n)
+    columns = []
+    for b, gb in (("e_0", [int(m == 0) for m in range(n)]),
+                  ("k", [m * x for m, x in enumerate(g)])):
+        y = matmul(linv, from_rows([x] for x in gb)).T[0]
+        w = _divide_entries(f"D^-1 L^-1 G {b}", ((m, 0) for m in range(n)), y, d)
+        z = matmul(linv_t, from_rows([x] for x in w))
+        columns.append(tuple(x * gm for gm, (x,) in zip(g, z)))
+    return tuple(columns)
 
 
 def _fill(c: tuple, v: tuple) -> Matrix:
@@ -249,12 +248,12 @@ def _fill(c: tuple, v: tuple) -> Matrix:
 def r_inverse_via_factorization(n: int) -> Matrix:
     """Integer inverse of the reciprocal Pascal matrix via its factors.
 
-    Two columns of R^-1 come from the factors, G L^-T D' L^-1 G applied to
-    two vectors and halved with a check; the Hankel displacement of R then
-    fills every other entry in O(n^2), each by one checked division, and
-    every row sum is checked against row 0 of R R^-1 = I.  A wrong entry
-    aborts rather than returns: the ExactnessError names it and carries it
-    as the counterexample.  check_integrality still multiplies back.
+    Two columns of R^-1 come from the factors, G L^-T D^-1 L^-1 G applied
+    to two vectors, D^-1 by checked division; the Hankel displacement of R
+    then fills every other entry in O(n^2), each by one checked division,
+    and every row sum is checked against row 0 of R R^-1 = I.  A wrong
+    entry aborts rather than returns: the ExactnessError names it and
+    carries it as the counterexample.  check_integrality still multiplies back.
     """
     return _fill(*_r_inverse_columns(n))
 
@@ -317,8 +316,9 @@ def check_integrality(n: int) -> CheckReport:
     route itself finds wrong is reported, by _check, as its ExactnessError
     names it: an entry it cannot divide out exactly, a / b, as
     (i, j, "an integer entry", a / b), or as (m, 0, "an integer entry of
-    R^-1 k", a / b) for an entry of v; a row i summing to s, not [i == 0],
-    as the entry (0, i) of R . R^-1 that row makes wrong, (0, i, [i == 0], s).
+    D^-1 L^-1 G e_0", a / b), k in place of e_0 for the second column; a
+    row i summing to s, not [i == 0], as the entry (0, i) of R . R^-1 that
+    row makes wrong, (0, i, [i == 0], s).
     """
     from fractions import Fraction
 

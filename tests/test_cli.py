@@ -284,12 +284,13 @@ def test_a_zero_leading_minor_fails_check_and_det_without_traceback(monkeypatch)
     ["invert"], ["gen", "--matrix", "Rinv"], ["oeis", "--id", "A060739"], ["bench"],
 ], ids=lambda argv: argv[0])
 def test_a_route_exactness_error_exits_1_without_traceback(monkeypatch, tmp_path, argv):
-    # with D = (2) the doubled inverse and the determinant step are the odd
-    # 1: the route's checked halving fails, a failed integrality claim; the
-    # inverse route names the entry, c_0 = R^-1[0][0]
+    # with D = (2) the route's D^-1 and the determinant step both divide
+    # the 1 of L^-1 G e_0 by 2: a checked division fails, a failed
+    # integrality claim; the inverse route names the entry it was forming,
+    # (0, 0) of the column D^-1 L^-1 G e_0
     monkeypatch.setattr(identities, "d_matrix", lambda n: (2,) * n)
     monkeypatch.setattr(sequences, "d_matrix", lambda n: (2,) * n)
-    entry = "" if argv[0] == "oeis" else "entry (0, 0) of R^-1: "
+    entry = "" if argv[0] == "oeis" else "entry (0, 0) of D^-1 L^-1 G e_0: "
     message = f"recpascal: an exactness claim failed: {entry}1 is not divisible by 2\n"
     assert _main_in_process([*argv, "--n", "1"]) == (1, "", message)
     out = tmp_path / "out.txt"
@@ -314,27 +315,27 @@ def test_a_failed_fill_division_names_its_entry(monkeypatch):
 
 
 def test_an_odd_entry_of_the_doubled_v_names_its_entry(monkeypatch):
-    # 1 added to entry 3 of the doubled column 2 R^-1 k as it is handed to
-    # the halving, the route's second division: halving v = R^-1 k fails
-    # there, and invert and the integrality check name that entry of
-    # R^-1 k, not a bare division
-    calls, halving = [], identities._divide_entries
+    # 1 added to entry 3 of the even column L^-1 G k as it is handed to
+    # D^-1, the route's second division: dividing by d_3 = -2 fails there,
+    # and invert and the integrality check name that entry of
+    # D^-1 L^-1 G k, not a bare division
+    calls, dividing = [], identities._divide_entries
 
     def planting(of, cells, nums, dens):
         calls.append(None)
         if len(calls) == 2:
             nums = [y + (m == 3) for m, y in enumerate(nums)]
-        return halving(of, cells, nums, dens)
+        return dividing(of, cells, nums, dens)
 
     monkeypatch.setattr(identities, "_divide_entries", planting)
     assert _main_in_process(["invert", "--n", "8"]) == (
         1, "", "recpascal: an exactness claim failed: "
-               "entry (3, 0) of R^-1 k: -117599 is not divisible by 2\n")
+               "entry (3, 0) of D^-1 L^-1 G k: 7 is not divisible by -2\n")
     calls.clear()
     code, out, err = _main_in_process(["check", "--checks", "integrality", "--n", "8"])
     assert (code, err) == (1, "")
     assert json.loads(out)[0]["counterexample"] == {
-        "i": 3, "j": 0, "expected": "an integer entry of R^-1 k", "actual": "-117599/2"}
+        "i": 3, "j": 0, "expected": "an integer entry of D^-1 L^-1 G k", "actual": "-7/2"}
 
 
 def test_a_wrong_v0_fails_a_row_sum_not_silently(monkeypatch):

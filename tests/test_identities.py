@@ -439,47 +439,52 @@ def test_integrality_pinned_sizes():
 
 
 def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
-    # with D = (2) the doubled column 2c is the odd 1: halving it must raise,
-    # and the integrality check must report 1/2 rather than round it
+    # with D = (2) the route's D^-1 divides the 1 of L^-1 G e_0 by 2: that
+    # must raise, and the integrality check must report 1/2 rather than
+    # round it, as the entry (0, 0) of D^-1 L^-1 G e_0
     monkeypatch.setattr(identities, "d_matrix", lambda n: (2,) * n)
     with pytest.raises(ExactnessError):
         r_inverse_via_factorization(1)
     rep = check_integrality(1)
     assert not rep.passed
-    assert rep.counterexample == (0, 0, "an integer entry", Fraction(1, 2))
+    assert rep.counterexample == (0, 0, "an integer entry of D^-1 L^-1 G e_0",
+                                  Fraction(1, 2))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_an_odd_entry_of_a_doubled_column_names_its_entry(data):
-    # 1 added to entries of one doubled column, 2 R^-1 e_0 or 2 R^-1 k, as
-    # it is handed to the halving, the route's first two divisions; R^-1 is
-    # symmetric, so c is row 0 and an odd 2c_j + 1 is named as the entry
-    # (0, j) of R^-1, while an odd 2v_m + 1 is the entry (m, 0) of the
-    # column R^-1 k
-    n = data.draw(st.integers(1, 48), label="n")
+    # 1 added to entries of one even column, L^-1 G e_0 or L^-1 G k, as it
+    # is handed to D^-1, the route's first two divisions.  Entry 0 is left
+    # alone: d_0 = 1 divides anything, and a wrong c_0 or v_0 is what
+    # test_a_planted_error_in_v_never_passes_the_check plants.  The first
+    # odd entry m is named as the entry (m, 0) of the column D^-1 L^-1 G b
+    n = data.draw(st.integers(2, 48), label="n")
     column = data.draw(st.sampled_from((0, 1)), label="column")
-    odd = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="odd")
+    odd = data.draw(st.sets(st.integers(1, n - 1), min_size=1), label="odd")
     m = min(odd)
-    x = 2 * identities._r_inverse_columns(n)[column][m] + 1
-    (i, j), of, claim = (((0, m), "R^-1", "an integer entry") if column == 0 else
-                         ((m, 0), "R^-1 k", "an integer entry of R^-1 k"))
-    calls, halving = [], identities._divide_entries
+    # y_m = (L^-1 G b)_m, with G's diagonal from math.comb, and d_m = +-2
+    b, gb = (("e_0", [1] + [0] * (n - 1)) if column == 0 else
+             ("k", [k * comb(2 * k, k) for k in range(n)]))
+    x = sum(a * y for a, y in zip(l_inverse_matrix(n)[m], gb)) + 1
+    d_m = -2 if m % 2 else 2
+    of = f"D^-1 L^-1 G {b}"
+    calls, dividing = [], identities._divide_entries
 
     def planting(of, cells, nums, dens):
         calls.append(None)
         if len(calls) == column + 1:
             nums = [y + (k in odd) for k, y in enumerate(nums)]
-        return halving(of, cells, nums, dens)
+        return dividing(of, cells, nums, dens)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(identities, "_divide_entries", planting)
-        message = f"entry ({i}, {j}) of {of}: {x} is not divisible by 2"
+        message = f"entry ({m}, 0) of {of}: {x} is not divisible by {d_m}"
         with pytest.raises(ExactnessError, match=f"^{re.escape(message)}$"):
             r_inverse_via_factorization(n)
         calls.clear()
         rep = check_integrality(n)
-    assert rep.counterexample == (i, j, claim, Fraction(x, 2))
+    assert rep.counterexample == (m, 0, f"an integer entry of {of}", Fraction(x, d_m))
 
 
 def test_integrality_checks_the_identity_in_integers(monkeypatch):
@@ -556,7 +561,7 @@ def test_an_exactness_error_becomes_the_counterexample(monkeypatch):
 
 
 def test_only_an_exactness_error_becomes_a_report(monkeypatch):
-    # D' = 2 D^-1 divides 2 by D's 0: a ZeroDivisionError is no failed claim
+    # D^-1 divides by D's 0: a ZeroDivisionError is no failed claim
     monkeypatch.setattr(identities, "d_matrix", lambda n: (1, 0))
     with pytest.raises(ZeroDivisionError):
         check_integrality(2)
