@@ -36,7 +36,6 @@ import time
 from collections import namedtuple
 from functools import wraps
 from math import comb
-from operator import mul
 
 from .combinatorics import ExactnessError, exact_div
 from .linalg import _scaled_rows, leading_minors
@@ -44,6 +43,7 @@ from .matrices import (
     Matrix,
     _dense_diagonal,
     _require_size,
+    congruence,
     d_matrix,
     from_rows,
     g_matrix,
@@ -134,10 +134,9 @@ def check_grg(n: int) -> CheckReport:
 @_check("ldl")
 def check_ldl(n: int) -> CheckReport:
     """Super Catalan array against the triangular-diagonal-triangular product
-    (L D) L^T, where L D is L with its columns scaled by D's diagonal."""
-    l, d = l_matrix(n), d_matrix(n)
-    ld = from_rows(map(mul, row, d) for row in l)
-    return _first_mismatch(super_catalan_matrix(n), matmul(ld, l.T))
+    L D L^T, formed as one congruence of L by D's diagonal."""
+    ldl = congruence(l_matrix(n), d_matrix(n))
+    return _first_mismatch(super_catalan_matrix(n), ldl)
 
 
 @_check("vonszily")
@@ -147,14 +146,14 @@ def check_von_szily_upto(n: int) -> CheckReport:
 
     Row m of T holds C(2m, m+j) for j = -(n-1)..n-1, zero where |j| > m; each
     entry is one math.comb call, so the table is independent of l_matrix.
-    The signed T times T^T gives every two-sided sum at once, compared with
-    super_catalan_matrix(n).
+    The congruence T diag((-1)^j) T^T gives every two-sided sum at once,
+    compared with super_catalan_matrix(n).
     """
     _require_size(n)
     t = from_rows([comb(2 * m, m + j) if -m <= j <= m else 0 for j in range(1 - n, n)]
                   for m in range(n))
-    signed = from_rows([_sign(j) * x for j, x in enumerate(row, 1 - n)] for row in t)
-    return _first_mismatch(super_catalan_matrix(n), matmul(signed, t.T))
+    signs = [_sign(j) for j in range(1 - n, n)]
+    return _first_mismatch(super_catalan_matrix(n), congruence(t, signs))
 
 
 @_check("parity")
@@ -265,7 +264,7 @@ def r_inverse_00(n: int) -> int:
     return 1 + sum(exact_div(c * c, d) for c, d in zip(col[1:], d_matrix(n)[1:]))
 
 
-def det_r_inverse_formula(n: int) -> Fraction:
+def det_r_inverse_formula(n: int):
     """Closed-form determinant of the integer inverse, evaluated verbatim:
     (-1)^(n(n+1)/2) / 2^(n-1) times the product of squared central binomials."""
     from fractions import Fraction

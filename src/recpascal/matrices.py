@@ -6,14 +6,14 @@ equality is plain ==.  The diagonal factors G and D are plain int tuples
 of their diagonals, which callers apply as entrywise scalings in O(n^2);
 _dense_diagonal is the one builder of a dense diagonal matrix.  A product
 forms each entry only over the overlap of its row's and column's nonzero
-spans, so a triangular or banded operand costs no multiplications by its
-known zeros; and when the operands have the congruence form a = b^T D, as
-in the checks of S = L D L^T and of von Szily's identity, it forms only
-the upper triangle of the symmetric product and mirrors it.  Both are read
-off the operands, exactly, in O(n^2); no caller selects them.  Only the
-functions that build a Fraction import fractions, here and in linalg and
-identities, so a command that never makes one, such as invert or a plain
-oeis emit, starts without it.
+spans, read off the operands in O(n^2), so a triangular or banded operand
+costs no multiplications by its known zeros.  The symmetric product
+b D b^T, the congruence L D L^T of the checks of S = L D L^T and of von
+Szily's identity, has its own function, congruence, which forms only the
+upper triangle, over the same spans, and mirrors it.  Only the functions
+that build a Fraction import fractions, here and in linalg and identities,
+so a command that never makes one, such as invert or a plain oeis emit,
+starts without it.
 
 Generators fill rows by recurrence instead of recomputing each coefficient
 from scratch: the symmetric Pascal array by prefix sums, integer additions
@@ -176,22 +176,19 @@ def _span(v) -> tuple[int, int]:
     return lo, len(v) - next(compress(count(), reversed(v)))
 
 
-def _is_congruence(a, b) -> bool:
-    """True when a = b^T D for some diagonal D, so that a b is symmetric.
+def _trim(v) -> tuple:
+    """(lo, v[lo:hi]): v's nonzero span v[lo:hi] and where it starts."""
+    lo, hi = _span(v)
+    return lo, v[lo:hi]
 
-    Column k of a must be d_k times row k of b, with d_k read off the first
-    nonzero entry b[k][f] of that row; the test cross-multiplies, so it is
-    exact and divides nothing.  A zero row of b adds nothing to a b, and
-    there both sides of the test are zero.
-    """
-    if len(a) != len(b[0]):
-        return False
-    for col, row in zip(zip(*a), b):
-        f = _span(row)[0]
-        af, bf = col[f], row[f]
-        if [x * bf for x in col] != [af * y for y in row]:
-            return False
-    return True
+
+def _row_times(row, trimmed) -> list:
+    """row times each trimmed vector (lo, v) in turn: the row's nonzero span
+    and v are aligned at the later start, and map stops at the earlier end."""
+    rlo, part = _trim(row)
+    return [sum(map(mul, part[lo - rlo:], v)) if rlo <= lo
+            else sum(map(mul, part, v[rlo - lo:]))
+            for lo, v in trimmed]
 
 
 def matmul(a, b):
@@ -199,32 +196,27 @@ def matmul(a, b):
 
     An entry sums a[i][k] b[k][j] only over the overlap of the nonzero
     spans of row i of a and column j of b, since every other term is a known
-    zero; an empty overlap gives the int 0.  A full row's span slice is the
-    row tuple itself, not a copy, so a dense product pays nothing per entry
-    for the spans.  When a = b^T D for a diagonal D, as in the
-    congruence L D L^T, the product is symmetric: only the entries with
-    i <= j are formed and the rest mirrored.  Entries equal the full sums
-    by value.
+    zero; an empty overlap gives the int 0.  A full row's or column's span
+    slice is the tuple itself, not a copy, so a dense product pays nothing
+    per entry for the spans.  Entries equal the full sums by value.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    trimmed = []
-    for col in zip(*b):
-        lo, hi = _span(col)
-        trimmed.append((lo, col[lo:hi]))
+    trimmed = [_trim(col) for col in zip(*b)]
+    return from_rows(_row_times(row, trimmed) for row in a)
 
-    def row_entries(row, j0):
-        """Entries j0, j0+1, ... of row times b: the row's nonzero span and
-        each column's are aligned at the later start, and map stops at the
-        earlier end."""
-        rlo, rhi = _span(row)
-        part = row[rlo:rhi]
-        return [sum(map(mul, part[clo - rlo:], col)) if rlo <= clo
-                else sum(map(mul, part, col[rlo - clo:]))
-                for clo, col in trimmed[j0:]]
 
-    if not _is_congruence(a, b):
-        return from_rows(row_entries(row, 0) for row in a)
-    upper = [row_entries(row, i) for i, row in enumerate(a)]
+def congruence(b, d):
+    """Exact symmetric product b diag(d) b^T, d a sequence of b.shape[1] entries.
+
+    Entry (i, j) sums b[i][k] d[k] b[j][k] over the overlap of the nonzero
+    spans of rows i and j of b; only the entries with i <= j are formed,
+    and the rest mirrored.  This is the congruence L D L^T of the checks of
+    S = L D L^T and of von Szily's identity.
+    """
+    if len(d) != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {b.shape} x diagonal of {len(d)}")
+    trimmed = [_trim(row) for row in b]
+    upper = [_row_times(tuple(map(mul, row, d)), trimmed[i:]) for i, row in enumerate(b)]
     return from_rows([upper[j][i - j] for j in range(i)] + upper[i]
                      for i in range(len(upper)))

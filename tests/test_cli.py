@@ -314,7 +314,7 @@ def test_a_failed_fill_division_names_its_entry(monkeypatch):
         "i": 7, "j": 5, "expected": "an integer entry", "actual": "-166489752/5"}
 
 
-def test_an_odd_entry_of_the_doubled_v_names_its_entry(monkeypatch):
+def test_an_inexact_entry_of_d_inverse_l_inverse_g_k_names_its_entry(monkeypatch):
     # 1 added to entry 3 of the even column L^-1 G k as it is handed to
     # D^-1, the route's second division: dividing by d_3 = -2 fails there,
     # and invert and the integrality check name that entry of
@@ -469,6 +469,19 @@ def test_oeis_candidates_assert_nothing(tmp_path):
     assert obj["asserted"] is False
     assert set(obj["candidates"]) == {"rows", "antidiagonals", "halved_antidiagonals"}
     assert {rep["name"] for rep in obj["candidates"].values()} == {"crosscheck:A068555"}
+
+
+def test_oeis_candidates_note_a_reference_sharing_no_index(tmp_path):
+    # at n = 3 no candidate reading reaches index 1000, so each is noted,
+    # not cross-checked, and nothing fails
+    ref = tmp_path / "ref.txt"
+    ref.write_text("1000 1\n1001 2\n")
+    code, out, err = _main_in_process(["oeis", "--id", "A068555", "--n", "3",
+                                       "--bfile", str(ref)])
+    assert (code, err) == (0, "")
+    note = {"note": "no overlapping indices"}
+    assert json.loads(out) == {"id": "A068555", "asserted": False, "candidates": {
+        "rows": note, "antidiagonals": note, "halved_antidiagonals": note}}
 
 
 def test_oeis_candidates_emit_does_not_read_back(tmp_path):
@@ -780,6 +793,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
     pytest.param(["gen", "--matrix", "pascal", "--n", str(10**20)], id="gen-oversized"),
     pytest.param(["invert", "--n", str(10**20)], id="invert-oversized"),
     pytest.param(["invert", "--n", str(sys.maxsize + 1)], id="invert-maxsize-plus-1"),
+    pytest.param(["invert", "--n", "x"], id="invert-not-an-integer"),
 ])
 def test_sizes_a_command_cannot_take_are_usage_errors(argv):
     _assert_usage_error(*_main_in_process(argv))

@@ -1,6 +1,8 @@
 """Factorization identities, the integer inverse, and determinant reports."""
+import inspect
 import json
 import re
+import typing
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -35,6 +37,7 @@ from recpascal import (
     reciprocal_pascal,
     super_catalan_matrix,
 )
+import recpascal
 from recpascal import identities, matrices
 from recpascal.identities import _first_mismatch
 
@@ -401,6 +404,16 @@ def test_det_formula_pinned():
     assert det_r_inverse_formula(3) == 36
 
 
+def test_public_type_hints_resolve():
+    # every annotation names something its module binds at module level,
+    # so the hints evaluate; a name imported only inside a function would not
+    functions = [f for f in map(partial(getattr, recpascal), recpascal.__all__)
+                 if inspect.isfunction(f)]
+    assert det_r_inverse_formula in functions and len(functions) > 20
+    for f in functions + [matrices.congruence]:
+        typing.get_type_hints(f)
+
+
 def test_det_comparison_pinned():
     expected = {
         1: (Fraction(-1), Fraction(1), True, False),
@@ -453,7 +466,7 @@ def test_factorization_inverse_rejects_nothing_silently(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_an_odd_entry_of_a_doubled_column_names_its_entry(data):
+def test_an_inexact_entry_of_a_divided_column_names_its_entry(data):
     # 1 added to entries of one even column, L^-1 G e_0 or L^-1 G k, as it
     # is handed to D^-1, the route's first two divisions.  Entry 0 is left
     # alone: d_0 = 1 divides anything, and a wrong c_0 or v_0 is what

@@ -4,10 +4,12 @@ from math import comb
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recpascal import (
+    check_ldl,
+    check_von_szily_upto,
     d_matrix,
     exact_div,
     from_rows,
@@ -21,7 +23,8 @@ from recpascal import (
     reciprocal_pascal,
     super_catalan_matrix,
 )
-from recpascal import matrices
+from recpascal import identities, matrices
+from recpascal.matrices import congruence
 
 from oracles import binomial_factorial, matmul_triple_sum, super_catalan_factorial
 
@@ -246,52 +249,45 @@ def test_matmul_matches_triple_sum_across_zero_spans(rows, inner, cols, data):
     assert matmul(a, b).tolist() == matmul_triple_sum(a, b)
 
 
-def congruent_pair(data, inner, cols):
-    """b and a = b^T D for a rational diagonal D, zeros allowed in D."""
-    b = data.draw(zero_spans(inner, cols), label="b")
-    d = data.draw(st.lists(entries, min_size=inner, max_size=inner), label="d")
-    return [[b[k][i] * d[k] for k in range(inner)] for i in range(cols)], b
-
-
 @settings(max_examples=100, deadline=None)
 @given(sizes, sizes, st.data())
-def test_matmul_congruence_is_symmetric_and_matches_triple_sum(inner, cols, data):
-    a, b = congruent_pair(data, inner, cols)
-    a = from_rows(a)
-    assert matrices._is_congruence(a, b)
-    product = matmul(a, b)
-    assert product.tolist() == matmul_triple_sum(a, b)
+def test_congruence_is_symmetric_and_matches_triple_sum(rows, inner, data):
+    # b diag(d) b^T for a rational d, zeros allowed in d
+    b = data.draw(zero_spans(rows, inner), label="b")
+    d = data.draw(st.lists(entries, min_size=inner, max_size=inner), label="d")
+    product = congruence(b, d)
+    bd = [[x * dk for x, dk in zip(row, d)] for row in b]
+    assert product.tolist() == matmul_triple_sum(bd, b.T)
     assert product == product.T
 
 
-@settings(max_examples=100, deadline=None)
-@given(sizes, st.integers(2, 7), st.data())
-def test_matmul_near_congruence_takes_the_general_path(inner, cols, data):
-    # a = b^T D with a[j][k] moved off d_k b[k][j], where row k of b is
-    # nonzero at some f != j: column k of a is then no multiple of row k
-    a, b = congruent_pair(data, inner, cols)
-    nonzero_rows = [k for k in range(inner) if any(b[k])]
-    assume(nonzero_rows)
-    k = data.draw(st.sampled_from(nonzero_rows), label="k")
-    f = next(i for i, x in enumerate(b[k]) if x)
-    j = data.draw(st.sampled_from([j for j in range(cols) if j != f]), label="j")
-    a[j][k] += data.draw(entries.filter(bool), label="delta")
-    a = from_rows(a)
-    assert not matrices._is_congruence(a, b)
-    assert matmul(a, b).tolist() == matmul_triple_sum(a, b)
-
-
-def test_matmul_congruences_of_the_paper_take_the_symmetric_path():
+def test_congruences_of_the_paper_form_only_the_upper_triangle(monkeypatch):
     n = 9
-    l, linv = l_matrix(n), l_inverse_matrix(n)
-    d = d_matrix(n)
-    assert matrices._is_congruence(from_rows(map(mul, row, d) for row in l), l.T)
-    d2 = [2 // x for x in d]
-    assert matrices._is_congruence(from_rows(map(mul, row, d2) for row in linv.T), linv)
-    assert not matrices._is_congruence(l, linv)
-    # the symmetric P is P^T I, but R is no diagonal scaling of P's rows
-    assert matrices._is_congruence(pascal_matrix(n), pascal_matrix(n))
-    assert not matrices._is_congruence(reciprocal_pascal(n), pascal_matrix(n))
+    assert congruence(l_matrix(n), d_matrix(n)) == super_catalan_matrix(n)
+    formed, row_times = [], matrices._row_times
+
+    def counting(row, trimmed):
+        out = row_times(row, trimmed)
+        formed.extend(out)
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(matrices, "_row_times", counting)
+        congruence(l_matrix(n), d_matrix(n))
+    assert len(formed) == n * (n + 1) // 2
+
+    def failing(a, b):
+        raise AssertionError("the checks of S = L D L^T form no general product")
+
+    monkeypatch.setattr(identities, "matmul", failing)
+    assert check_ldl(n).passed
+    assert check_von_szily_upto(n).passed
+
+
+def test_congruence_diagonal_length_mismatch():
+    for d in ((1, -2), (1, -2, 2, -2)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            congruence(l_matrix(3), d)
 
 
 def test_matmul_mixed_product_promotes_to_fractions():
